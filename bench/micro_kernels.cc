@@ -22,12 +22,11 @@ namespace eqx {
 namespace {
 
 void
-runNetworkCycleIdle(benchmark::State &state, bool exhaustive)
+BM_NetworkCycleIdle(benchmark::State &state)
 {
     NetworkSpec spec;
     spec.params.width = spec.params.height =
         static_cast<int>(state.range(0));
-    spec.params.exhaustiveTick = exhaustive;
     Network net(spec);
     Cycle clock = 0;
     for (auto _ : state)
@@ -35,28 +34,13 @@ runNetworkCycleIdle(benchmark::State &state, bool exhaustive)
     state.SetItemsProcessed(state.iterations() *
                             spec.params.numNodes());
 }
-
-void
-BM_NetworkCycleIdle(benchmark::State &state)
-{
-    runNetworkCycleIdle(state, /*exhaustive=*/false);
-}
 BENCHMARK(BM_NetworkCycleIdle)->Arg(8)->Arg(16);
 
-/** The pre-activity-scheduler loop, kept as the before/after baseline. */
 void
-BM_NetworkCycleIdleExhaustive(benchmark::State &state)
-{
-    runNetworkCycleIdle(state, /*exhaustive=*/true);
-}
-BENCHMARK(BM_NetworkCycleIdleExhaustive)->Arg(8)->Arg(16);
-
-void
-runNetworkCycleLoaded(benchmark::State &state, bool exhaustive)
+BM_NetworkCycleLoaded(benchmark::State &state)
 {
     NetworkSpec spec;
     spec.params.width = spec.params.height = 8;
-    spec.params.exhaustiveTick = exhaustive;
     Network net(spec);
     Rng rng(1);
     Cycle clock = 0;
@@ -74,20 +58,7 @@ runNetworkCycleLoaded(benchmark::State &state, bool exhaustive)
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void
-BM_NetworkCycleLoaded(benchmark::State &state)
-{
-    runNetworkCycleLoaded(state, /*exhaustive=*/false);
-}
 BENCHMARK(BM_NetworkCycleLoaded);
-
-void
-BM_NetworkCycleLoadedExhaustive(benchmark::State &state)
-{
-    runNetworkCycleLoaded(state, /*exhaustive=*/true);
-}
-BENCHMARK(BM_NetworkCycleLoadedExhaustive);
 
 void
 BM_MinimalDirections(benchmark::State &state)

@@ -1,10 +1,11 @@
 /**
  * @file
  * NoC hot-loop runner: times the network-cycle kernels (idle and
- * loaded 8x8/16x16 meshes) under the activity-driven tick scheduler and
- * under the exhaustive fallback loop, and writes the before/after
- * comparison to BENCH_noc_hotloop.json. The CI perf-smoke job uploads
- * that file so scheduler regressions are visible per commit.
+ * loaded 8x8/16x16 meshes, loaded 16x16 torus) and writes them to
+ * BENCH_noc_hotloop.json next to the frozen cost of the retired
+ * exhaustive tick loop, measured at commit 529bc79 on the same
+ * kernels. The CI perf-smoke job uploads that file and checks the
+ * loaded/idle cost ratio, which a broken activity scheduler collapses.
  *
  * Arguments:
  *   out=<path>     output JSON (default BENCH_noc_hotloop.json)
@@ -25,12 +26,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Commit whose exhaustive-loop numbers are frozen below. */
+constexpr const char *kHistoricalCommit = "529bc79";
+
 struct KernelResult
 {
     std::string name;
-    double beforeNs = 0; ///< ns per core cycle, exhaustive loop
-    double afterNs = 0;  ///< ns per core cycle, activity scheduler
-    double itemsPerSec = 0; ///< node-cycles per second, after
+    int side = 0;                  ///< mesh/torus side (nodes per row)
+    double historicalBeforeNs = 0; ///< exhaustive loop at kHistoricalCommit
+    double ns = 0;                 ///< ns per core cycle, measured now
+    double itemsPerSec = 0;        ///< node-cycles per second
 };
 
 /**
@@ -59,23 +64,21 @@ timeKernel(F &&fn, double min_time)
 }
 
 double
-idleKernel(int side, bool exhaustive, double min_time)
+idleKernel(int side, double min_time)
 {
     NetworkSpec spec;
     spec.params.width = spec.params.height = side;
-    spec.params.exhaustiveTick = exhaustive;
     Network net(spec);
     Cycle clock = 0;
     return timeKernel([&] { net.coreTick(++clock); }, min_time);
 }
 
 double
-loadedKernel(int side, bool exhaustive, double min_time,
+loadedKernel(int side, double min_time,
              TopologyKind kind = TopologyKind::Mesh)
 {
     NetworkSpec spec;
     spec.params.width = spec.params.height = side;
-    spec.params.exhaustiveTick = exhaustive;
     spec.params.topo.kind = kind;
     if (kind == TopologyKind::Torus)
         spec.params.vcsPerPort = 3; // dateline + Duato escape pair
@@ -109,47 +112,34 @@ main(int argc, char **argv)
     std::string out = cfg.getString("out", "BENCH_noc_hotloop.json");
     double min_time = cfg.getDouble("min_time", 0.2);
 
-    printHeader("NoC hot-loop before/after",
+    printHeader("NoC hot-loop",
                 "activity-driven tick scheduling (DESIGN.md #10)");
 
-    std::vector<KernelResult> results;
-    for (int side : {8, 16}) {
-        KernelResult r;
-        r.name = "network_cycle_idle_" + std::to_string(side) + "x" +
-                 std::to_string(side);
-        r.beforeNs = idleKernel(side, /*exhaustive=*/true, min_time);
-        r.afterNs = idleKernel(side, /*exhaustive=*/false, min_time);
-        r.itemsPerSec = side * side * 1e9 / r.afterNs;
-        results.push_back(r);
-    }
-    for (int side : {8, 16}) {
-        KernelResult r;
-        r.name = "network_cycle_loaded_" + std::to_string(side) + "x" +
-                 std::to_string(side);
-        r.beforeNs = loadedKernel(side, /*exhaustive=*/true, min_time);
-        r.afterNs = loadedKernel(side, /*exhaustive=*/false, min_time);
-        r.itemsPerSec = side * side * 1e9 / r.afterNs;
-        results.push_back(r);
-    }
-    {
+    // Exhaustive-loop ns/cycle at kHistoricalCommit (Release + LTO,
+    // quiet machine); that loop no longer exists, so these are frozen.
+    std::vector<KernelResult> results = {
+        {"network_cycle_idle_8x8", 8, 5460.887},
+        {"network_cycle_idle_16x16", 16, 22477.048},
+        {"network_cycle_loaded_8x8", 8, 31822.403},
+        {"network_cycle_loaded_16x16", 16, 127798.000},
         // Wrap-link fabric (DESIGN.md §17): same load on a 16x16
         // torus, so the dateline-VC route compute and the extra wrap
         // channels show up in the per-cycle cost.
-        KernelResult r;
-        r.name = "network_cycle_loaded_torus_16x16";
-        r.beforeNs = loadedKernel(16, /*exhaustive=*/true, min_time,
-                                  TopologyKind::Torus);
-        r.afterNs = loadedKernel(16, /*exhaustive=*/false, min_time,
-                                 TopologyKind::Torus);
-        r.itemsPerSec = 16 * 16 * 1e9 / r.afterNs;
-        results.push_back(r);
-    }
+        {"network_cycle_loaded_torus_16x16", 16, 105575.766},
+    };
+    results[0].ns = idleKernel(8, min_time);
+    results[1].ns = idleKernel(16, min_time);
+    results[2].ns = loadedKernel(8, min_time);
+    results[3].ns = loadedKernel(16, min_time);
+    results[4].ns = loadedKernel(16, min_time, TopologyKind::Torus);
+    for (auto &r : results)
+        r.itemsPerSec = r.side * r.side * 1e9 / r.ns;
 
-    std::printf("%-26s %14s %14s %9s\n", "kernel", "before ns/cyc",
-                "after ns/cyc", "speedup");
+    std::printf("%-34s %12s %14s@%s\n", "kernel", "ns/cyc",
+                "exhaustive ns", kHistoricalCommit);
     for (const auto &r : results)
-        std::printf("%-26s %14.1f %14.1f %8.2fx\n", r.name.c_str(),
-                    r.beforeNs, r.afterNs, r.beforeNs / r.afterNs);
+        std::printf("%-34s %12.1f %22.1f\n", r.name.c_str(), r.ns,
+                    r.historicalBeforeNs);
 
     std::FILE *f = std::fopen(out.c_str(), "w");
     if (!f) {
@@ -157,18 +147,20 @@ main(int argc, char **argv)
                      out.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"bench\": \"noc_hotloop\",\n  \"kernels\": [\n");
+    std::fprintf(f,
+                 "{\n  \"bench\": \"noc_hotloop\",\n"
+                 "  \"historical_before_commit\": \"%s\",\n"
+                 "  \"kernels\": [\n",
+                 kHistoricalCommit);
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", "
-                     "\"before_ns_per_cycle\": %.3f, "
-                     "\"after_ns_per_cycle\": %.3f, "
-                     "\"speedup\": %.3f, "
+                     "\"ns_per_cycle\": %.3f, "
+                     "\"historical_before_ns_per_cycle\": %.3f, "
                      "\"items_per_second\": %.0f}%s\n",
-                     r.name.c_str(), r.beforeNs, r.afterNs,
-                     r.beforeNs / r.afterNs, r.itemsPerSec,
-                     i + 1 < results.size() ? "," : "");
+                     r.name.c_str(), r.ns, r.historicalBeforeNs,
+                     r.itemsPerSec, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -81,8 +81,8 @@ class Channel
     /**
      * Attach the owner's delivery scheduler; every send() then posts
      * one (tag, arrival-tick) event and the item stays buffered here
-     * until receive(). Unscheduled channels (unit tests,
-     * exhaustive-tick networks) behave exactly as before.
+     * until receive(). An unscheduled channel (unit tests) posts
+     * nothing and is drained only by explicit receive() calls.
      */
     void
     setScheduler(ChannelScheduler *sched, std::uint32_t tag)

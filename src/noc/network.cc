@@ -15,6 +15,10 @@ Network::Network(const NetworkSpec &spec)
     eqx_assert(params_.width >= 2 && params_.height >= 2,
                "mesh must be at least 2x2");
     eqx_assert(params_.vcsPerPort >= 1, "need at least one VC");
+    // Router credit counters and VC ring cursors are byte-wide.
+    eqx_assert(params_.vcDepthFlits >= 1 && params_.vcDepthFlits <= 127,
+               "vcDepthFlits must be in [1, 127], got ",
+               params_.vcDepthFlits);
     if (params_.classVcs)
         eqx_assert(params_.vcsPerPort >= 2,
                    "class-segregated VCs need >= 2 VCs");
@@ -75,8 +79,7 @@ Network::Network(const NetworkSpec &spec)
             int in_idx = routerRef(b).addInputPort(PortKind::Geo,
                                                    opposite(d), cc);
             int out_idx = routerRef(a).addOutputPort(
-                PortKind::Geo, d, fc, params_.vcDepthFlits,
-                params_.geoLinksInterposer);
+                PortKind::Geo, d, fc, params_.geoLinksInterposer);
             routerFlitWires_.push_back({fc, b, in_idx});
             routerCreditWires_.push_back({cc, a, out_idx});
         }
@@ -134,8 +137,8 @@ Network::Network(const NetworkSpec &spec)
             auto *fc = newFlitChan(1);
             auto *cc = newCreditChan(1);
             int ej = ni->addEjPort(cc);
-            int out_idx = routerRef(r).addOutputPort(
-                PortKind::LocalEj, Dir::Local, fc, params_.vcDepthFlits);
+            int out_idx = routerRef(r).addOutputPort(PortKind::LocalEj,
+                                                     Dir::Local, fc);
             niFlitWires_.push_back({fc, i, ej});
             routerCreditWires_.push_back({cc, r, out_idx});
         }
@@ -183,16 +186,14 @@ Network::Network(const NetworkSpec &spec)
     pendingWheel_.assign(wheel_slots, {});
     wheelMask_ = static_cast<std::uint32_t>(wheel_slots - 1);
 
-    if (!params_.exhaustiveTick)
-        attachChannels(/*passthrough=*/true);
+    attachChannels(/*passthrough=*/true);
 }
 
 void
 Network::attachChannels(bool passthrough)
 {
     // Tag every channel with its wire id and attach the pending
-    // wheel. Wire ids flatten the four wire vectors in order;
-    // exhaustive networks skip this and keep scanning.
+    // wheel. Wire ids flatten the four wire vectors in order.
     std::uint32_t tag = 0;
     auto attach = [&](auto *chan) {
         if (passthrough)
@@ -240,8 +241,7 @@ Network::armFaults(const FaultConfig &cfg, const std::string &name,
         ni->attachFaultPlane(plane_.get());
     // Fault semantics (wire stalls, checksum drops) act on flits held
     // *inside* channels, so an armed network leaves pass-through mode.
-    if (!params_.exhaustiveTick)
-        attachChannels(/*passthrough=*/false);
+    attachChannels(/*passthrough=*/false);
 }
 
 void
@@ -287,10 +287,9 @@ Network::nextDueCycle(Cycle core_now) const
     eqx_assert(core_now == coreCycle_,
                "nextDueCycle: network at core cycle ", coreCycle_,
                " queried at ", core_now);
-    // Exhaustive and fault-armed networks tick unconditionally: the
-    // exhaustive loop is the bit-identity oracle and the fault plane
-    // runs timers (stall windows, retransmission) every internal tick.
-    if (params_.exhaustiveTick || plane_)
+    // Fault-armed networks tick unconditionally: the fault plane runs
+    // timers (stall windows, retransmission) every internal tick.
+    if (plane_)
         return core_now + 1;
     int te = params_.ticksEvenCycle, to = params_.ticksOddCycle;
     if (te + to == 0)
@@ -328,8 +327,7 @@ void
 Network::skipTo(Cycle core_target)
 {
     eqx_assert(core_target >= coreCycle_, "skipTo going backwards");
-    eqx_assert(!params_.exhaustiveTick && !plane_,
-               "skipTo on an unconditionally-ticking network");
+    eqx_assert(!plane_, "skipTo on a fault-armed network");
     eqx_assert(nextDueCycle(coreCycle_) > core_target,
                "skipTo over live work");
     // Even/odd core cycles in (coreCycle_, core_target].
@@ -346,8 +344,9 @@ namespace {
  * Visit set bits of a word array in ascending index order, re-reading
  * each word live so bits set *during* the walk (e.g. an NI activated
  * by a synchronous sink injection) at positions not yet passed are
- * visited this tick — exactly what the exhaustive loop would do.
- * Bits set at already-passed positions stay set and run next tick.
+ * visited this tick, keeping the visit order a pure ascending-index
+ * walk over every component that has work. Bits set at already-passed
+ * positions stay set and run next tick.
  */
 template <typename F>
 inline void
@@ -371,29 +370,22 @@ forEachSetBitLive(std::vector<std::uint64_t> &words, F &&f)
 void
 Network::internalTick()
 {
-    if (params_.exhaustiveTick) {
-        internalTickExhaustive();
-        return;
-    }
     ++tick_;
     if (plane_)
         plane_->tick(tick_);
     deliver();
-    // One walk runs all three stages per router (SA, VA, RC — so a
-    // stage's result is consumed one tick later). The exhaustive loop
-    // makes three whole-network passes instead, but stages of distinct
+    // One walk runs all three stages per router. Stages of distinct
     // routers cannot interact within a tick — every cross-router
     // effect rides a channel with latency >= 1 and lands in a later
-    // deliver() — so the merged walk is outcome-identical while
-    // touching each router's state once. The router active set cannot
-    // grow during the walk (flits only arrive in deliver()), and a
-    // router that drained deregisters inline: no buffered flits means
-    // SA/VA/RC are provably no-ops until the next acceptFlit.
+    // deliver() — so the per-router walk equals running each stage
+    // over the whole network in turn, while touching each router's
+    // state once. The router active set cannot grow during the walk
+    // (flits only arrive in deliver()), and a router that drained
+    // deregisters inline: no buffered flits means SA/VA/RC are
+    // provably no-ops until the next acceptFlit.
     forEachSetBitLive(activeRouters_, [&](std::size_t i) {
         auto &r = routers_[i];
-        r.switchAllocStage(tick_);
-        r.vcAllocStage(tick_);
-        r.routeComputeStage(tick_);
+        r.tickStages(tick_);
         if (!r.hasBufferedFlits())
             activeRouters_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     });
@@ -415,23 +407,6 @@ Network::internalTick()
                 activeNis_[w] &= ~bit;
         }
     }
-}
-
-void
-Network::internalTickExhaustive()
-{
-    ++tick_;
-    if (plane_)
-        plane_->tick(tick_);
-    deliverExhaustive();
-    for (auto &r : routers_)
-        r.switchAllocStage(tick_);
-    for (auto &r : routers_)
-        r.vcAllocStage(tick_);
-    for (auto &r : routers_)
-        r.routeComputeStage(tick_);
-    for (auto &ni : nis_)
-        ni->tick(tick_, coreCycle_);
 }
 
 void
@@ -557,46 +532,6 @@ Network::deliver()
         }
     }
     slot.credits.clear();
-}
-
-void
-Network::deliverExhaustive()
-{
-    Flit f;
-    for (std::size_t i = 0; i < routerFlitWires_.size(); ++i) {
-        auto &w = routerFlitWires_[i];
-        int fw = plane_ ? wireFault_[i] : -1;
-        if (fw >= 0) {
-            if (plane_->wireStalled(fw, tick_))
-                continue; // the exhaustive scan retries every tick
-            while (w.chan->receive(tick_, f)) {
-                plane_->touchFlit(fw, f);
-                if (f.fcs != flitFcs(f)) {
-                    plane_->onChecksumDrop(fw, f, tick_);
-                    continue;
-                }
-                routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-                    w.port, std::move(f), tick_);
-            }
-            continue;
-        }
-        while (w.chan->receive(tick_, f))
-            routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-                w.port, std::move(f), tick_);
-    }
-    for (auto &w : niFlitWires_)
-        while (w.chan->receive(tick_, f))
-            nis_[static_cast<std::size_t>(w.ni)]->acceptEjectedFlit(
-                w.ejPort, std::move(f));
-    Credit c;
-    for (auto &w : routerCreditWires_)
-        while (w.chan->receive(tick_, c))
-            routers_[static_cast<std::size_t>(w.router)].creditArrived(
-                w.port, c.vc);
-    for (auto &w : niCreditWires_)
-        while (w.chan->receive(tick_, c))
-            nis_[static_cast<std::size_t>(w.ni)]->creditArrived(w.buf,
-                                                                c.vc);
 }
 
 bool
@@ -839,8 +774,6 @@ Network::drained() const
 bool
 Network::activeSetsConsistent() const
 {
-    if (params_.exhaustiveTick)
-        return true;
     for (std::size_t i = 0; i < routers_.size(); ++i) {
         bool active = (activeRouters_[i >> 6] >>
                        (i & 63)) & 1;

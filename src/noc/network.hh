@@ -58,9 +58,10 @@ struct NetworkSpec
  * and NIs sit on per-network active sets and are only visited while
  * they hold work; channel arrivals are drained through a pending-wire
  * event wheel instead of scanning every wire. An idle mesh costs
- * O(active components), not O(routers + wires), and results are
- * bit-identical to the exhaustive loop (params.exhaustiveTick keeps
- * the old loop available for equivalence tests and benchmarking).
+ * O(active components), not O(routers + wires). Visits run in
+ * ascending component index, so outcomes equal a walk over every
+ * component; activeSetsConsistent() and Router::pipelineStateConsistent()
+ * check the sets against that predicate.
  */
 class Network : private ChannelScheduler, private FaultPlaneHost
 {
@@ -79,8 +80,8 @@ class Network : private ChannelScheduler, private FaultPlaneHost
     /**
      * Earliest core cycle after @p core_now at which this network
      * does real work — the global time wheel query (DESIGN.md §14).
-     * core_now + 1 while any router or NI is on an active set (or in
-     * the exhaustive / fault-armed modes, which tick unconditionally);
+     * core_now + 1 while any router or NI is on an active set (or when
+     * fault-armed, which ticks unconditionally);
      * otherwise the core cycle of the earliest in-flight channel
      * arrival in the pending wheel; kNeverCycle when fully drained.
      */
@@ -160,15 +161,12 @@ class Network : private ChannelScheduler, private FaultPlaneHost
     /**
      * Activity-scheduler invariant check (tests): every router holding
      * buffered flits and every non-idle NI must be on its active set.
-     * Always true in exhaustive mode.
      */
     bool activeSetsConsistent() const;
 
   private:
     void internalTick();
-    void internalTickExhaustive();
     void deliver();
-    void deliverExhaustive();
     void deliverWire(std::uint32_t wire);
 
     /** ChannelScheduler: record a pending arrival for a wire. */
@@ -254,9 +252,9 @@ class Network : private ChannelScheduler, private FaultPlaneHost
     // ---- Activity-driven scheduling (DESIGN.md §10) ----
     /**
      * Active-set bitmasks, one bit per router / NI. Iteration is by
-     * ascending index (bit scan), which reproduces the exhaustive
-     * loop's component order exactly — required so per-network stat
-     * accumulators see samples in the same order.
+     * ascending index (bit scan), the same component order as a full
+     * walk — required so per-network stat accumulators see samples in
+     * a fixed order.
      */
     std::vector<std::uint64_t> activeRouters_;
     std::vector<std::uint64_t> activeNis_;

@@ -51,7 +51,7 @@ struct NocParams
     int height = 8;            ///< mesh rows
 
     int vcsPerPort = 2;        ///< virtual channels per port
-    int vcDepthFlits = 5;      ///< buffer depth per VC (1 packet)
+    int vcDepthFlits = 5;      ///< buffer depth per VC, 1..127 (1 packet)
     int flitBits = 128;        ///< link/flit width
 
     RoutingMode routing = RoutingMode::MinimalAdaptive;
@@ -100,14 +100,6 @@ struct NocParams
      * power model.
      */
     bool geoLinksInterposer = false;
-
-    /**
-     * Disable activity-driven tick scheduling: every internal tick
-     * visits every router, NI and wire exhaustively (the pre-scheduler
-     * loop). Results are bit-identical either way (DESIGN.md §10);
-     * kept for equivalence tests and before/after benchmarking.
-     */
-    bool exhaustiveTick = false;
 
     int niInjBufPackets = 2;   ///< default NI injection queue (packets)
     int niEjectQueuePackets = 4; ///< assembled packets awaiting the sink

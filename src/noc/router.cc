@@ -45,7 +45,7 @@ Router::addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up)
 
 int
 Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
-                      int downstream_depth, bool interposer)
+                      bool interposer)
 {
     eqx_assert(kind == PortKind::Geo || kind == PortKind::LocalEj,
                "outputs connect to neighbours or the NI ejection side");
@@ -61,17 +61,13 @@ Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
     p.out = out;
     p.interposer = interposer;
     p.vcs.assign(static_cast<std::size_t>(params_->vcsPerPort), OutputVc{});
-    for (auto &vc : p.vcs)
-        vc.credits = downstream_depth;
     outputs_.push_back(std::move(p));
     int idx = static_cast<int>(outputs_.size()) - 1;
-    if (downstream_depth != params_->vcDepthFlits)
-        uniformCredit_ = false;
-    eqx_assert(downstream_depth <= 127,
-               "byte-wide credit counters cap downstream depth at 127");
+    // Every downstream VC buffer is vcDepthFlits deep (Network
+    // validates the byte-wide range), so each output VC starts free.
     for (int vi = 0; vi < params_->vcsPerPort; ++vi) {
         int of = idx * params_->vcsPerPort + vi;
-        outCredits_[of] = static_cast<std::int8_t>(downstream_depth);
+        outCredits_[of] = static_cast<std::int8_t>(params_->vcDepthFlits);
         freeOutVcs_ |= std::uint64_t{1} << of;
     }
     outChan_[idx] = out;
@@ -286,35 +282,13 @@ Router::routeVcFlat(int flat)
 void
 Router::routeComputeStage(Cycle)
 {
-    if (!params_->exhaustiveTick && rcPending_ == 0)
-        return;
-
-    if (params_->exhaustiveTick) {
-        // The pre-change scan: every (port, VC) pair, every tick. Kept
-        // runnable as the measured "before" of the activity scheduler;
-        // the pending masks are still maintained so both paths share
-        // one set of invariants.
-        int flats = numInputPorts() * params_->vcsPerPort;
-        for (int flat = 0; flat < flats; ++flat) {
-            if (vc_[flat].state != VcState::Idle || vc_[flat].count == 0)
-                continue;
-            if (!vc_[flat].headOk)
-                continue;
-            routeVcFlat(flat);
-            std::uint64_t bit = std::uint64_t{1} << flat;
-            rcPending_ &= ~bit;
-            vaPending_ |= bit;
-        }
-        return;
-    }
-
     std::uint64_t m = rcPending_;
     while (m != 0) {
         int flat = std::countr_zero(m);
         m &= m - 1;
         std::uint64_t bit = std::uint64_t{1} << flat;
         if (vc_[flat].state != VcState::Idle || vc_[flat].count == 0) {
-            rcPending_ &= ~bit; // stale: the scan loop would skip it
+            rcPending_ &= ~bit; // stale: nothing left to route
             continue;
         }
         if (!vc_[flat].headOk)
@@ -326,10 +300,10 @@ Router::routeComputeStage(Cycle)
 }
 
 bool
-Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
+Router::chooseVcRequest(int flat, Cycle now, int &req_port,
+                        int &req_vc) const
 {
     int v = params_->vcsPerPort;
-    int depth = params_->vcDepthFlits;
 
     // Determine the permitted VC window on non-ejection ports.
     int lo = 0, hi = v - 1;
@@ -350,97 +324,19 @@ Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
     const std::int8_t *cand = vc_[flat].cand;
     int nc = vc_[flat].candCount;
 
-    if (uniformCredit_) {
-        // Every free VC holds exactly `depth` credits (atomic VC
-        // rule), so the max-credit tie-break degenerates to "first
-        // free VC in scan order": one mask-and-scan per candidate
-        // port replaces the credit-compare loop. freeOutVcs_ is
-        // maintained at every busy/credit transition.
-        auto firstFree = [&](int port, int lo_vc, int hi_vc) -> int {
-            std::uint64_t m = (freeOutVcs_ >> (port * v)) &
-                              ((std::uint64_t{2} << hi_vc) -
-                               (std::uint64_t{1} << lo_vc));
-            return m ? std::countr_zero(m) : -1;
-        };
-        if (vc_[flat].ejecting) {
-            for (int i = 0; i < nc; ++i) {
-                int vc = firstFree(cand[i], 0, v - 1);
-                if (vc >= 0) {
-                    req_port = cand[i];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            return false;
-        }
-        if (adaptive) {
-            if (wrap_) {
-                // Torus escape discipline (Duato over the dateline
-                // subnetwork): the top two VCs form the escape pair,
-                // v-2 for class 0 (wrap link ahead) and v-1 for
-                // class 1. The per-ring (position, class) order
-                // strictly increases along escape hops, so the escape
-                // subnetwork is cycle-free (DESIGN.md §17). Network
-                // asserts vcsPerPort >= 3 here.
-                int esc = v - 2 + vc_[flat].cls;
-                if (flat % v >= v - 2) {
-                    // Escape input: stay on the dateline pair, XY
-                    // (candidate 0) only.
-                    int vc = firstFree(cand[0], esc, esc);
-                    if (vc < 0)
-                        return false;
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-                for (int i = 0; i < nc; ++i) {
-                    int vc = firstFree(cand[i], 0, v - 3);
-                    if (vc >= 0) {
-                        req_port = cand[i];
-                        req_vc = vc;
-                        return true;
-                    }
-                }
-                // Blocked on all adaptive VCs: fall into escape.
-                int vc = firstFree(cand[0], esc, esc);
-                if (vc >= 0) {
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-                return false;
-            }
-            if (flat % v == escapeVc() && v > 1) {
-                // Escape discipline: stay on the escape VC along XY.
-                int vc = firstFree(cand[0], escapeVc(), escapeVc());
-                if (vc < 0)
-                    return false;
-                req_port = cand[0];
-                req_vc = vc;
-                return true;
-            }
-            int adaptive_vcs = std::max(1, v - 1);
-            for (int i = 0; i < nc; ++i) {
-                int vc = firstFree(cand[i], 0, adaptive_vcs - 1);
-                if (vc >= 0) {
-                    req_port = cand[i];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            if (v > 1) {
-                // Blocked on all adaptive VCs: fall into escape.
-                int vc = firstFree(cand[0], escapeVc(), escapeVc());
-                if (vc >= 0) {
-                    req_port = cand[0];
-                    req_vc = vc;
-                    return true;
-                }
-            }
-            return false;
-        }
+    // Every free VC holds exactly vcDepthFlits credits (atomic VC
+    // rule), so the max-credit tie-break degenerates to "first free VC
+    // in scan order": one mask-and-scan per candidate port.
+    // freeOutVcs_ is maintained at every busy/credit transition.
+    auto firstFree = [&](int port, int lo_vc, int hi_vc) -> int {
+        std::uint64_t m = (freeOutVcs_ >> (port * v)) &
+                          ((std::uint64_t{2} << hi_vc) -
+                           (std::uint64_t{1} << lo_vc));
+        return m ? std::countr_zero(m) : -1;
+    };
+    if (vc_[flat].ejecting) {
         for (int i = 0; i < nc; ++i) {
-            int vc = firstFree(cand[i], lo, hi);
+            int vc = firstFree(cand[i], 0, v - 1);
             if (vc >= 0) {
                 req_port = cand[i];
                 req_vc = vc;
@@ -449,130 +345,125 @@ Router::chooseVcRequest(int flat, Cycle now, int &req_port, int &req_vc)
         }
         return false;
     }
-
-    int best_port = -1, best_vc = -1, best_credits = -1;
-    auto consider = [&](int port, int vc) {
-        // Atomic VC buffers: require the downstream VC idle and empty.
-        int of = port * v + vc;
-        std::int32_t c = outCredits_[of];
-        if (outBusy_[of] || c < depth)
-            return;
-        if (c > best_credits) {
-            best_credits = c;
-            best_port = port;
-            best_vc = vc;
-        }
-    };
-
-    if (vc_[flat].ejecting) {
-        for (int i = 0; i < nc; ++i)
-            for (int vc = 0; vc < v; ++vc)
-                consider(cand[i], vc);
-    } else if (adaptive) {
+    if (adaptive) {
         if (wrap_) {
-            // Torus escape pair (see the uniform-credit path above).
+            // Torus escape discipline (Duato over the dateline
+            // subnetwork): the top two VCs form the escape pair, v-2
+            // for class 0 (wrap link ahead) and v-1 for class 1. The
+            // per-ring (position, class) order strictly increases
+            // along escape hops, so the escape subnetwork is
+            // cycle-free (DESIGN.md §17). Network asserts
+            // vcsPerPort >= 3 here.
             int esc = v - 2 + vc_[flat].cls;
             if (flat % v >= v - 2) {
-                // Escape input: stay on the dateline pair, XY only.
-                consider(cand[0], esc);
-            } else {
-                for (int i = 0; i < nc; ++i)
-                    for (int vc = 0; vc < v - 2; ++vc)
-                        consider(cand[i], vc);
-                if (best_port < 0) {
-                    // Blocked on all adaptive VCs: fall into escape.
-                    consider(cand[0], esc);
+                // Escape input: stay on the dateline pair, XY
+                // (candidate 0) only.
+                int vc = firstFree(cand[0], esc, esc);
+                if (vc < 0)
+                    return false;
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+            for (int i = 0; i < nc; ++i) {
+                int vc = firstFree(cand[i], 0, v - 3);
+                if (vc >= 0) {
+                    req_port = cand[i];
+                    req_vc = vc;
+                    return true;
                 }
             }
-        } else if (flat % v == escapeVc() && v > 1) {
+            // Blocked on all adaptive VCs: fall into escape.
+            int vc = firstFree(cand[0], esc, esc);
+            if (vc >= 0) {
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+            return false;
+        }
+        if (flat % v == escapeVc() && v > 1) {
             // Escape discipline: stay on the escape VC along XY.
-            consider(cand[0], escapeVc());
-        } else {
-            int adaptive_vcs = std::max(1, v - 1);
-            for (int i = 0; i < nc; ++i)
-                for (int vc = 0; vc < adaptive_vcs; ++vc)
-                    consider(cand[i], vc);
-            if (best_port < 0 && v > 1) {
-                // Blocked on all adaptive VCs: fall into escape.
-                consider(cand[0], escapeVc());
+            int vc = firstFree(cand[0], escapeVc(), escapeVc());
+            if (vc < 0)
+                return false;
+            req_port = cand[0];
+            req_vc = vc;
+            return true;
+        }
+        int adaptive_vcs = std::max(1, v - 1);
+        for (int i = 0; i < nc; ++i) {
+            int vc = firstFree(cand[i], 0, adaptive_vcs - 1);
+            if (vc >= 0) {
+                req_port = cand[i];
+                req_vc = vc;
+                return true;
             }
         }
-    } else {
-        for (int i = 0; i < nc; ++i)
-            for (int vc = lo; vc <= hi; ++vc)
-                consider(cand[i], vc);
-    }
-
-    if (best_port < 0)
+        if (v > 1) {
+            // Blocked on all adaptive VCs: fall into escape.
+            int vc = firstFree(cand[0], escapeVc(), escapeVc());
+            if (vc >= 0) {
+                req_port = cand[0];
+                req_vc = vc;
+                return true;
+            }
+        }
         return false;
-    req_port = best_port;
-    req_vc = best_vc;
-    return true;
+    }
+    for (int i = 0; i < nc; ++i) {
+        int vc = firstFree(cand[i], lo, hi);
+        if (vc >= 0) {
+            req_port = cand[i];
+            req_vc = vc;
+            return true;
+        }
+    }
+    return false;
 }
 
 void
 Router::vcAllocStage(Cycle now)
 {
-    if (!params_->exhaustiveTick && vaPending_ == 0)
+    if (vaPending_ == 0)
         return;
     int v = params_->vcsPerPort;
-    int flats = numInputPorts() * v;
 
-    // Input-first: each waiting input VC nominates one (port, vc).
-    // Nominations land in flat parallel arrays; groups with the same
-    // requested output VC resolve in first-nomination order, exactly
-    // as the pre-SoA want-list did.
+    // Input-first: each waiting input VC nominates one (port, vc), in
+    // ascending flat order. Nominations land in flat parallel arrays;
+    // groups with the same requested output VC resolve in
+    // first-nomination order.
     int want_flat[kMaxInVcs];
     std::int16_t want_of[kMaxInVcs];
     std::int8_t want_port[kMaxInVcs];
     int n_wants = 0;
-    if (params_->exhaustiveTick) {
-        // Pre-change scan over every (port, VC) pair; a bit in
-        // vaPending_ is exactly "state == RouteComputed", so both
-        // paths nominate the same candidates in the same order.
-        for (int flat = 0; flat < flats; ++flat) {
-            if (vc_[flat].state != VcState::RouteComputed)
-                continue;
-            int rp = -1, rv = -1;
-            ++vaRequests_;
-            if (chooseVcRequest(flat, now, rp, rv)) {
-                want_flat[n_wants] = flat;
-                want_of[n_wants] =
-                    static_cast<std::int16_t>(rp * v + rv);
-                want_port[n_wants] = static_cast<std::int8_t>(rp);
-                ++n_wants;
-            }
+    // Nominations whose failure can only be cured by a free-VC
+    // transition park on vaBlocked_ instead of re-polling every tick.
+    // A parked VC still counts one request per tick: a woken bit
+    // first credits the ticks it spent parked.
+    bool park = !params_->classVcs;
+    std::uint64_t m = vaPending_;
+    while (m != 0) {
+        int flat = std::countr_zero(m);
+        std::uint64_t bit = m & (~m + 1);
+        m &= m - 1;
+        int rp = -1, rv = -1;
+        ++vaRequests_;
+        if (vaWoken_ & bit) {
+            vaRequests_ += now - vaBlockTick_[flat] - 1;
+            vaWoken_ &= ~bit;
         }
-    } else {
-        // Nominations whose failure can only be cured by a free-VC
-        // transition park on vaBlocked_ instead of re-polling every
-        // tick; a woken bit first credits the request ticks it would
-        // have issued while parked (exhaustive-loop accounting).
-        bool park = uniformCredit_ && !params_->classVcs;
-        std::uint64_t m = vaPending_;
-        while (m != 0) {
-            int flat = std::countr_zero(m);
-            std::uint64_t bit = m & (~m + 1);
-            m &= m - 1;
-            int rp = -1, rv = -1;
-            ++vaRequests_;
-            if (vaWoken_ & bit) {
-                vaRequests_ += now - vaBlockTick_[flat] - 1;
-                vaWoken_ &= ~bit;
-            }
-            if (chooseVcRequest(flat, now, rp, rv)) {
-                want_flat[n_wants] = flat;
-                want_of[n_wants] =
-                    static_cast<std::int16_t>(rp * v + rv);
-                want_port[n_wants] = static_cast<std::int8_t>(rp);
-                ++n_wants;
-            } else if (park) {
-                vaPending_ &= ~bit;
-                vaBlocked_ |= bit;
-                vaBlockTick_[flat] = now;
-                for (int c = 0; c < vc_[flat].candCount; ++c)
-                    vaWaiters_[vc_[flat].cand[c]] |= bit;
-            }
+        if (chooseVcRequest(flat, now, rp, rv)) {
+            want_flat[n_wants] = flat;
+            want_of[n_wants] = static_cast<std::int16_t>(rp * v + rv);
+            want_port[n_wants] = static_cast<std::int8_t>(rp);
+            ++n_wants;
+        } else if (park) {
+            vaPending_ &= ~bit;
+            vaBlocked_ |= bit;
+            vaBlockTick_[flat] = now;
+            for (int c = 0; c < vc_[flat].candCount; ++c)
+                vaWaiters_[vc_[flat].cand[c]] |= bit;
         }
     }
     if (n_wants == 0)
@@ -607,7 +498,6 @@ Router::switchAllocStage(Cycle now)
 {
     int v = params_->vcsPerPort;
     int depth = params_->vcDepthFlits;
-    int num_in = numInputPorts();
 
     // SA runs first each tick: sample buffered-flit occupancy here so
     // the accounting sees exactly one sample per internal tick. Ticks
@@ -618,88 +508,44 @@ Router::switchAllocStage(Cycle now)
         occSamples_ += now - occLastTick_;
         occLastTick_ = now;
     }
-    if (params_->exhaustiveTick) {
-        // Pre-change sampling scanned every VC; the sum equals the
-        // running bufferedFlits_ counter, so the statistic is the
-        // same — only the measured cost differs.
-        std::uint64_t occ = 0;
-        for (int flat = 0; flat < num_in * v; ++flat)
-            occ += vc_[flat].count;
-        occSumFlitTicks_ += occ;
-    } else {
-        occSumFlitTicks_ += static_cast<std::uint64_t>(bufferedFlits_);
-    }
+    occSumFlitTicks_ += static_cast<std::uint64_t>(bufferedFlits_);
 
+    // Phase 1: one candidate VC per input port, walking only Active
+    // non-empty VCs (saPending_). Requested output ports are tracked
+    // in a bitmask so phase 2 only visits contested ports.
     std::int8_t chosen_vc[kMaxInVcs];
     std::int8_t chosen_port[kMaxInVcs];
     std::uint32_t chosen_in = 0; ///< input ports with a phase-1 winner
     std::uint32_t req_ports = 0;
-    if (params_->exhaustiveTick) {
-        // Pre-change phase 1: scan every (port, VC) pair and let
-        // phase 2 visit every output port. A bit in saPending_ is
-        // exactly "state == Active && !empty", so the candidate lists
-        // (and the arbiter outcomes) match the mask walk.
-        bool any = false;
-        for (int pi = 0; pi < num_in; ++pi) {
-            std::uint64_t reqs = 0;
-            for (int vi = 0; vi < v; ++vi) {
-                int flat = pi * v + vi;
-                if (vc_[flat].state != VcState::Active ||
-                    vc_[flat].count == 0)
-                    continue;
-                ++saRequests_;
-                if (outCredits_[vc_[flat].outFlat] <= 0) {
-                    ++creditStallCycles_;
-                    continue;
-                }
-                reqs |= std::uint64_t{1} << vi;
+    std::uint64_t m = saPending_;
+    if (m == 0)
+        return;
+    while (m != 0) {
+        int pi = std::countr_zero(m) / v;
+        std::uint64_t port_bits =
+            m & (((std::uint64_t{1} << v) - 1) << (pi * v));
+        m ^= port_bits;
+        std::uint64_t reqs = 0;
+        while (port_bits != 0) {
+            int flat = std::countr_zero(port_bits);
+            port_bits &= port_bits - 1;
+            ++saRequests_;
+            if (outCredits_[vc_[flat].outFlat] <= 0) {
+                ++creditStallCycles_;
+                continue;
             }
-            if (reqs != 0) {
-                int vi = rrGrant(reqs, inSaLast_[pi]);
-                chosen_vc[pi] = static_cast<std::int8_t>(vi);
-                chosen_port[pi] = vc_[pi * v + vi].outPort;
-                chosen_in |= std::uint32_t{1} << pi;
-                any = true;
-            }
+            reqs |= std::uint64_t{1} << (flat - pi * v);
         }
-        if (!any)
-            return;
-        req_ports = (std::uint32_t{1} << numOutputPorts()) - 1;
-    } else {
-        // Phase 1: one candidate VC per input port, walking only
-        // Active non-empty VCs (saPending_). Requested output ports
-        // are tracked in a bitmask so phase 2 only visits contested
-        // ports.
-        std::uint64_t m = saPending_;
-        if (m == 0)
-            return;
-        while (m != 0) {
-            int pi = std::countr_zero(m) / v;
-            std::uint64_t port_bits =
-                m & (((std::uint64_t{1} << v) - 1) << (pi * v));
-            m ^= port_bits;
-            std::uint64_t reqs = 0;
-            while (port_bits != 0) {
-                int flat = std::countr_zero(port_bits);
-                port_bits &= port_bits - 1;
-                ++saRequests_;
-                if (outCredits_[vc_[flat].outFlat] <= 0) {
-                    ++creditStallCycles_;
-                    continue;
-                }
-                reqs |= std::uint64_t{1} << (flat - pi * v);
-            }
-            if (reqs != 0) {
-                int vi = rrGrant(reqs, inSaLast_[pi]);
-                chosen_vc[pi] = static_cast<std::int8_t>(vi);
-                chosen_port[pi] = vc_[pi * v + vi].outPort;
-                chosen_in |= std::uint32_t{1} << pi;
-                req_ports |= std::uint32_t{1} << chosen_port[pi];
-            }
+        if (reqs != 0) {
+            int vi = rrGrant(reqs, inSaLast_[pi]);
+            chosen_vc[pi] = static_cast<std::int8_t>(vi);
+            chosen_port[pi] = vc_[pi * v + vi].outPort;
+            chosen_in |= std::uint32_t{1} << pi;
+            req_ports |= std::uint32_t{1} << chosen_port[pi];
         }
-        if (req_ports == 0)
-            return;
     }
+    if (req_ports == 0)
+        return;
 
     // Phase 2: one input per output port, ascending port order.
     while (req_ports != 0) {
@@ -820,9 +666,10 @@ Router::resetStats(Cycle now)
         inFlitsAccepted_[i] = 0;
     for (int i = 0; i < numOutputPorts(); ++i)
         outFlitsSent_[i] = 0;
-    // Parked VA nominations re-base their deferred request accounting
-    // at the reset boundary: only post-reset ticks may count.
-    std::uint64_t m = vaBlocked_;
+    // Parked (or woken, not yet re-nominated) VA nominations re-base
+    // their deferred request accounting at the reset boundary: only
+    // post-reset ticks may count.
+    std::uint64_t m = vaBlocked_ | vaWoken_;
     while (m != 0) {
         int f = std::countr_zero(m);
         m &= m - 1;
@@ -923,11 +770,18 @@ Router::pipelineStateConsistent() const
                 return false;
             // A parked nomination must be registered with every one
             // of its candidate output ports, or a free-VC transition
-            // there would never wake it.
-            if ((vaBlocked_ & bit) != 0)
+            // there would never wake it. And parking must be safe: a
+            // parked VC skips VA until a wake, so its nomination must
+            // still fail right now. (Only classVcs windows depend on
+            // the tick, and classVcs never parks, so any tick will do.)
+            if ((vaBlocked_ & bit) != 0) {
                 for (int c = 0; c < vc_[flat].candCount; ++c)
                     if ((vaWaiters_[vc_[flat].cand[c]] & bit) == 0)
                         return false;
+                int rp = -1, rv = -1;
+                if (chooseVcRequest(flat, 0, rp, rv))
+                    return false;
+            }
             if (((saPending_ & bit) != 0) !=
                 (vc_[flat].state == VcState::Active &&
                  vc_[flat].count > 0))
@@ -939,15 +793,14 @@ Router::pipelineStateConsistent() const
     }
     if (total != bufferedFlits_)
         return false;
-    if ((vaPending_ & vaBlocked_) != 0)
+    if ((vaPending_ & vaBlocked_) != 0 || (vaWoken_ & ~vaPending_) != 0)
         return false;
     for (int of = 0; of < numOutputPorts() * v; ++of) {
         if (outCredits_[of] < 0)
             return false;
         if (outBusy_[of] > 1)
             return false;
-        if (uniformCredit_ &&
-            ((freeOutVcs_ >> of) & 1) !=
+        if (((freeOutVcs_ >> of) & 1) !=
                 (!outBusy_[of] && outCredits_[of] == depth ? 1u : 0u))
             return false;
         // Every busy output VC is owned by exactly one Active input VC.

@@ -70,8 +70,8 @@ struct NetworkActivity
 
 /**
  * The router proper. The owning network wires channels to ports and
- * calls the pipeline stages each internal tick in the order
- * SA -> VA -> RC (so a stage's result is consumed one tick later).
+ * calls tickStages() each internal tick, which runs SA -> VA -> RC
+ * (so a stage's result is consumed one tick later).
  *
  * All state the pipeline stages read or write lives in flat
  * struct-of-arrays members inside the Router object itself
@@ -121,7 +121,7 @@ class Router
     /** Add ports during network construction; returns the port index. */
     int addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up);
     int addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
-                      int downstream_depth, bool interposer = false);
+                      bool interposer = false);
 
     int numInputPorts() const { return static_cast<int>(inputs_.size()); }
     int numOutputPorts() const { return static_cast<int>(outputs_.size()); }
@@ -159,7 +159,11 @@ class Router
      */
     void setDirectWheel(WheelSlot *slots, std::uint32_t slot_mask);
 
-    /** Run all three pipeline stages in consumption order. */
+    /**
+     * One internal tick of the pipeline: the single statement of stage
+     * order. SA runs before VA before RC, so each stage consumes what
+     * the one after it produced on the previous tick.
+     */
     void
     tickStages(Cycle now)
     {
@@ -167,11 +171,6 @@ class Router
         vcAllocStage(now);
         routeComputeStage(now);
     }
-
-    /** Pipeline stages; the network calls these once per internal tick. */
-    void switchAllocStage(Cycle now);
-    void vcAllocStage(Cycle now);
-    void routeComputeStage(Cycle now);
 
     /** Mean cycles a flit spends resident in this router. */
     const RunningStat &residenceStat() const { return residence_; }
@@ -182,17 +181,17 @@ class Router
     // Per-router observability counters (DESIGN.md §9).
     /**
      * Input VC nominations the VC allocator saw / granted, as of
-     * internal tick @p now. Takes the tick because blocked
-     * nominations are event-driven (DESIGN.md §14): a VC parked on
-     * vaBlocked_ would have re-nominated every tick in the exhaustive
-     * loop, so its deferred per-tick requests (now - block tick) are
-     * added on read. Bit-identical to the exhaustive loop's count.
+     * internal tick @p now. Every RouteComputed VC counts one request
+     * per tick. Takes the tick because blocked nominations are
+     * event-driven (DESIGN.md §14): a VC parked on vaBlocked_ skips
+     * VA, so its deferred per-tick requests (now - block tick) are
+     * added on read — also for a VC woken but not yet re-nominated.
      */
     std::uint64_t
     vaRequests(Cycle now) const
     {
         std::uint64_t r = vaRequests_;
-        std::uint64_t m = vaBlocked_;
+        std::uint64_t m = vaBlocked_ | vaWoken_;
         while (m != 0) {
             int f = std::countr_zero(m);
             m &= m - 1;
@@ -211,8 +210,7 @@ class Router
      * Mean buffered input flits per internal tick over [stats reset,
      * @p now]. Kept as exact integers (flit-tick sum / tick count) so
      * ticks the activity scheduler skipped — which by construction had
-     * zero occupancy — are reconstructed exactly: the active-set and
-     * exhaustive tick loops report bit-identical means.
+     * zero occupancy — count exactly as zero-occupancy samples.
      */
     double occupancyMean(Cycle now) const;
 
@@ -228,11 +226,17 @@ class Router
      * Structure-of-arrays invariant check (tests): the per-stage
      * pending bitmasks, the per-VC state/count arrays, the flat
      * output-VC credit/busy state, and the aggregate buffered-flit
-     * counter must all agree (DESIGN.md §14).
+     * counter must all agree, and every parked VA nomination must
+     * still be unable to find an output VC (DESIGN.md §14).
      */
     bool pipelineStateConsistent() const;
 
   private:
+    /** Pipeline stages, run once per internal tick by tickStages(). */
+    void switchAllocStage(Cycle now);
+    void vcAllocStage(Cycle now);
+    void routeComputeStage(Cycle now);
+
     /**
      * Re-arm parked VA nominations waiting on output port @p port
      * (a VC there just went free). Parking is gated off classVcs, so
@@ -272,7 +276,7 @@ class Router
     /** Pick the (port, vc) request for input VC @p flat; false if
      *  none available this tick. Reads only the SoA state. */
     bool chooseVcRequest(int flat, Cycle now, int &req_port,
-                         int &req_vc);
+                         int &req_vc) const;
 
     /** Refresh one observability view from the SoA state. */
     void syncInputPort(int i) const;
@@ -318,10 +322,10 @@ class Router
      * 0->1 transition of freeOutVcs_ on output port p wakes only the
      * parked bits registered in vaWaiters_[p] (spurious wakes
      * re-block with exact accounting). Only engaged when the success
-     * condition depends solely on freeOutVcs_ (uniformCredit_ and no
-     * class-window schedule); vaWoken_ marks bits whose skipped
-     * per-tick vaRequests_ ticks still need crediting when VA next
-     * processes them.
+     * condition depends solely on freeOutVcs_ (no classVcs window
+     * schedule); vaWoken_ marks bits whose skipped per-tick
+     * vaRequests_ ticks still need crediting when VA next processes
+     * them.
      */
     std::uint64_t vaBlocked_ = 0;
     std::uint64_t vaWoken_ = 0;
@@ -334,14 +338,12 @@ class Router
      * holds exactly `vcDepthFlits` credits, so "most credits, first in
      * scan order" — the VA tie-break — reduces to "lowest set bit in
      * the candidate window": chooseVcRequest() is a couple of mask ops
-     * instead of a per-candidate credit walk. Only valid while every
-     * output port was added with downstream depth == vcDepthFlits
-     * (uniformCredit_); otherwise the credit-compare loop is kept.
+     * instead of a per-candidate credit walk. Valid because every
+     * downstream VC buffer is vcDepthFlits deep.
      */
     std::uint64_t freeOutVcs_ = 0;
     /** Total flits currently buffered across all input VCs. */
     int bufferedFlits_ = 0;
-    bool uniformCredit_ = true;
 
     /**
      * All per-input-VC pipeline state, packed to one 16-byte record so

@@ -15,7 +15,6 @@ SchemeModel::baseParams(const SystemConfig &cfg, const std::string &name)
     p.vcsPerPort = cfg.vcsPerPort;
     p.vcDepthFlits = cfg.vcDepthFlits;
     p.flitBits = cfg.flitBits;
-    p.exhaustiveTick = cfg.exhaustiveNocTick;
     return p;
 }
 

@@ -290,9 +290,6 @@ serializeSystemConfig(const SystemConfig &sc, KvBlob &out)
     out.add("sc.max_cycles", static_cast<std::uint64_t>(sc.maxCycles));
     out.add("sc.warmup_cycles",
             static_cast<std::uint64_t>(sc.warmupCycles));
-    // Both tick loops are proven bit-identical (DESIGN.md §10), so
-    // the exhaustive-tick toggle is deliberately NOT hashed: either
-    // mode may serve the other's cached cells.
     out.add("sc.collect_metrics", sc.collectMetrics);
 
     serializeFaultConfig(sc.fault, out);

@@ -110,25 +110,6 @@ struct SystemConfig
     Cycle warmupCycles = 0;
 
     /**
-     * Run every network with the exhaustive (pre-activity-scheduler)
-     * internal tick loop instead of active-set scheduling. Results are
-     * bit-identical either way (DESIGN.md §10); exposed for the
-     * equivalence tests and before/after benchmarks.
-     */
-    bool exhaustiveNocTick = false;
-
-    /**
-     * Let the cycle loop consult the global time wheel (DESIGN.md
-     * §14) and fast-forward over cycles in which no PE, cache bank,
-     * HBM channel or network has work. Results are bit-identical
-     * either way — skipped cycles are provably no-ops — and skipping
-     * is automatically suppressed for exhaustive-tick and fault-armed
-     * networks, which tick unconditionally. Off switches every cycle
-     * back to an explicit step() (equivalence tests, debugging).
-     */
-    bool timeSkip = true;
-
-    /**
      * Collect the full per-router / per-port / per-NI observability
      * snapshot into RunResult::metrics (DESIGN.md §9). Off by default:
      * the snapshot is a few thousand keys per run.

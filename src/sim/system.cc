@@ -178,17 +178,14 @@ System::step()
 Cycle
 System::maybeSkip()
 {
-    if (!cfg_.timeSkip || cycle_ + 1 >= cfg_.maxCycles)
+    if (cycle_ + 1 >= cfg_.maxCycles)
         return 0;
-    // Exhaustive-tick and fault-armed networks tick unconditionally
-    // (oracle loop / fault timers), so the whole system must step.
-    for (const auto &net : nets_)
-        if (net->params().exhaustiveTick || net->faultArmed())
-            return 0;
 
     // One wheel epoch per consultation: every subsystem posts its
     // next due cycle. Components likeliest to have immediate work go
-    // first so a loaded system bails out after one query.
+    // first so a loaded system bails out after one query. A
+    // fault-armed network always reports the next cycle (its plane
+    // runs timers every tick), so such a system never skips.
     wheel_.beginEpoch(cycle_);
     for (const auto &pe : pes_) {
         Cycle due = pe->nextDueCycle(cycle_);

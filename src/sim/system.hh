@@ -135,8 +135,9 @@ class System
      * cycle, fast-forward the system over the dead gap (networks
      * advance their internal tick counters arithmetically). Returns
      * the number of cycles skipped (0 when any component has
-     * immediate work, or when SystemConfig::timeSkip is off). run()
-     * calls this after every step; exposed for tests.
+     * immediate work). run() calls this after every step. Skipped
+     * cycles are provably no-ops, so a driver that calls step() until
+     * finished() and then run() to collect gets the same RunResult.
      */
     Cycle maybeSkip();
 

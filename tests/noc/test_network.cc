@@ -258,6 +258,23 @@ TEST(Network, TooSmallMeshRejected)
     EXPECT_THROW(Network net(spec), std::logic_error);
 }
 
+TEST(Network, VcDepthOutsideByteRangeRejected)
+{
+    // Depth 0 leaves no flit storage behind a VC; above 127 the
+    // byte-wide router credit counters overflow. Both ends of the
+    // accepted range still build.
+    for (int depth : {0, -1, 128}) {
+        NetworkSpec spec = meshSpec(4, 4);
+        spec.params.vcDepthFlits = depth;
+        EXPECT_THROW(Network net(spec), std::logic_error) << depth;
+    }
+    for (int depth : {1, 127}) {
+        NetworkSpec spec = meshSpec(4, 4);
+        spec.params.vcDepthFlits = depth;
+        EXPECT_NO_THROW(Network net(spec)) << depth;
+    }
+}
+
 TEST(Network, ExportStatsCoversRoutersPortsAndNis)
 {
     Network net(meshSpec(4, 4));

@@ -13,7 +13,7 @@ namespace {
  * A single router wired by hand: one Geo input (from the "west"
  * neighbour), one Geo output (to the "east"), plus the local ejection
  * port. The test drives flits in via acceptFlit and steps the stages
- * in the same order the network does (SA, VA, RC per tick).
+ * through tickStages(), exactly as the network does.
  */
 class RouterHarness : public ::testing::Test
 {
@@ -30,11 +30,9 @@ class RouterHarness : public ::testing::Test
         inPort = router->addInputPort(PortKind::Geo, Dir::West,
                                       inCredit.get());
         outPort = router->addOutputPort(PortKind::Geo, Dir::East,
-                                        outFlits.get(),
-                                        params.vcDepthFlits);
+                                        outFlits.get());
         ejPort = router->addOutputPort(PortKind::LocalEj, Dir::Local,
-                                       ejFlits.get(),
-                                       params.vcDepthFlits);
+                                       ejFlits.get());
     }
 
     /** Run one internal tick worth of stages. */
@@ -42,9 +40,7 @@ class RouterHarness : public ::testing::Test
     tick()
     {
         ++now;
-        router->switchAllocStage(now);
-        router->vcAllocStage(now);
-        router->routeComputeStage(now);
+        router->tickStages(now);
     }
 
     /** Send a whole packet into input VC @p vc. */
@@ -71,6 +67,24 @@ class RouterHarness : public ::testing::Test
     {
         return router->inputPort(inPort).vcs[static_cast<std::size_t>(
             vc)];
+    }
+
+    /**
+     * Send one full-depth packet through each East output VC and
+     * return no credits: both VCs end idle but empty of credits, so
+     * no later East nomination can succeed until credits arrive.
+     */
+    void
+    exhaustEastVcs()
+    {
+        int depth = params.vcDepthFlits;
+        sendPacket(5, 0, depth); // adaptive VC 0 -> out VC 0
+        for (int i = 0; i < 2 * depth + 2; ++i)
+            tick();
+        sendPacket(5, 1, depth); // escape VC 1 -> out VC 1
+        for (int i = 0; i < 2 * depth + 2; ++i)
+            tick();
+        ASSERT_EQ(drainOut(*outFlits), 2 * depth);
     }
 
     int
@@ -242,6 +256,64 @@ TEST_F(RouterHarness, HasBufferedFlitsReflectsOccupancy)
         tick();
     drainOut(*outFlits);
     EXPECT_FALSE(router->hasBufferedFlits());
+}
+
+TEST_F(RouterHarness, ParkedVaNominationCountsOneRequestPerTick)
+{
+    // Every RouteComputed VC counts one VA request per tick, parked or
+    // not. Exhaust both East output VCs (no credits come back), then
+    // park a third packet's nomination and count by hand.
+    exhaustEastVcs();
+    const std::uint64_t base = router->vaRequests(now);
+    EXPECT_EQ(base, 2u); // each earlier packet was granted at once
+
+    sendPacket(5, 0, 1);
+    tick(); // RC: not yet a VA request
+    EXPECT_EQ(router->vaRequests(now), base);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        tick(); // VA nominates, finds no free East VC, parks
+        EXPECT_EQ(inVc(0).state, VcState::RouteComputed);
+        EXPECT_EQ(router->vaRequests(now), base + k) << "tick " << k;
+        EXPECT_TRUE(router->pipelineStateConsistent());
+    }
+
+    // Wake: out VC 0 drains downstream. Reading is not a tick.
+    for (int i = 0; i < params.vcDepthFlits; ++i)
+        router->creditArrived(outPort, 0);
+    EXPECT_EQ(router->vaRequests(now), base + 6);
+    EXPECT_TRUE(router->pipelineStateConsistent());
+    tick(); // the woken nomination is granted
+    EXPECT_EQ(inVc(0).state, VcState::Active);
+    EXPECT_EQ(inVc(0).outVc, 0);
+    EXPECT_EQ(router->vaRequests(now), base + 7);
+    EXPECT_EQ(router->vaGrants(), 3u);
+    tick();
+    tick(); // granted and gone: no further requests
+    EXPECT_EQ(router->vaRequests(now), base + 7);
+    EXPECT_TRUE(router->pipelineStateConsistent());
+}
+
+TEST_F(RouterHarness, ResetStatsWhileParkedCountsOnlyLaterTicks)
+{
+    exhaustEastVcs();
+    sendPacket(5, 0, 1);
+    tick(); // RC
+    for (int k = 0; k < 4; ++k)
+        tick(); // parked since the first of these ticks
+    ASSERT_EQ(inVc(0).state, VcState::RouteComputed);
+
+    router->resetStats(now);
+    EXPECT_EQ(router->vaRequests(now), 0u);
+    tick();
+    tick();
+    EXPECT_EQ(router->vaRequests(now), 2u);
+    for (int i = 0; i < params.vcDepthFlits; ++i)
+        router->creditArrived(outPort, 0);
+    tick(); // woken and granted
+    EXPECT_EQ(inVc(0).state, VcState::Active);
+    EXPECT_EQ(router->vaRequests(now), 3u);
+    EXPECT_EQ(router->vaGrants(), 1u);
+    EXPECT_TRUE(router->pipelineStateConsistent());
 }
 
 } // namespace

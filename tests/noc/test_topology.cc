@@ -4,14 +4,15 @@
  * wiring and wrapped distance on the torus, dateline VC classes,
  * CMesh concentration geometry — plus whole-network wrap-link
  * correctness: torus all-pairs delivery under both routing modes,
- * high-load drain with bit-identical activity under both tick
- * schedulers, and concentrated slot-indexed ejection.
+ * high-load drain pinned to a frozen golden, and concentrated
+ * slot-indexed ejection.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "golden.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
 
@@ -369,15 +370,15 @@ INSTANTIATE_TEST_SUITE_P(XyAndAdaptive, TorusRoutingModes,
 /**
  * High-load 8x8 torus: every tile fires a deterministic burst that
  * crosses the datelines both ways. The fabric must drain (deadlock
- * freedom under load) and both tick schedulers must agree on every
- * activity counter (bit-identity on wrap links).
+ * freedom under load) and its exported statistics must match the
+ * golden captured at commit 7f8757d, where both the activity-scheduled
+ * and the exhaustive tick loop produced it (bit-identity on wrap
+ * links).
  */
-NetworkActivity
-runTorusStorm(bool exhaustive, std::size_t &delivered_out)
+TEST(TorusNetwork, HighLoadDrainsIdenticallyUnderBothTickModes)
 {
     NetworkSpec spec =
         topoSpec(8, 8, TopologyKind::Torus, RoutingMode::MinimalAdaptive);
-    spec.params.exhaustiveTick = exhaustive;
     Network net(spec);
     std::vector<TestSink> sinks(64);
     for (NodeId n = 0; n < 64; ++n)
@@ -396,28 +397,16 @@ runTorusStorm(bool exhaustive, std::size_t &delivered_out)
     }
     for (int i = 0; i < 5000 && !net.drained(); ++i)
         net.coreTick(++clock);
-    EXPECT_TRUE(net.drained()) << "torus storm wedged";
-    delivered_out = 0;
+    ASSERT_TRUE(net.drained()) << "torus storm wedged";
+    std::size_t delivered = 0;
     for (const auto &s : sinks)
-        delivered_out += s.delivered.size();
-    return net.activity();
-}
-
-TEST(TorusNetwork, HighLoadDrainsIdenticallyUnderBothTickModes)
-{
-    std::size_t da = 0, de = 0;
-    NetworkActivity a = runTorusStorm(false, da);
-    NetworkActivity e = runTorusStorm(true, de);
-    EXPECT_EQ(da, 6u * 64u);
-    EXPECT_EQ(da, de);
-    EXPECT_EQ(a.bufferWrites, e.bufferWrites);
-    EXPECT_EQ(a.bufferReads, e.bufferReads);
-    EXPECT_EQ(a.xbarTraversals, e.xbarTraversals);
-    EXPECT_EQ(a.vaGrants, e.vaGrants);
-    EXPECT_EQ(a.saGrants, e.saGrants);
-    EXPECT_EQ(a.linkFlits, e.linkFlits);
-    EXPECT_EQ(a.creditsSent, e.creditsSent);
-    EXPECT_EQ(a.requestBits, e.requestBits);
+        delivered += s.delivered.size();
+    EXPECT_EQ(delivered, 6u * 64u);
+    StatGroup sg;
+    net.exportStats(sg, "net");
+    EXPECT_EQ(golden::ofStats(sg, clock),
+              (golden::Golden{0x77339cf0b763d01fULL, 109, 3848, 384,
+                              8441}));
 }
 
 TEST(CmeshNetwork, ConcentratedEjectionReachesEveryTileInABlock)

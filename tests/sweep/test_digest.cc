@@ -281,16 +281,6 @@ TEST(Digest, SensitiveToEverySystemConfigKnob)
     EXPECT_EQ(hexes.size(), muts.size() + 1);
 }
 
-TEST(Digest, ExhaustiveTickToggleIsDigestNeutral)
-{
-    // Both tick loops are bit-identical (DESIGN.md §10); either mode
-    // may serve the other's cache entries, so the toggle must NOT
-    // change the digest.
-    SystemConfig a, b;
-    b.exhaustiveNocTick = true;
-    EXPECT_EQ(systemBlob(a), systemBlob(b));
-}
-
 TEST(Digest, SensitiveToEveryWorkloadKnob)
 {
     using Mut = void (*)(WorkloadProfile &);

@@ -1,8 +1,10 @@
 /**
  * @file
  * Full-system traffic-model behaviour: capture -> replay -> capture
- * byte-identity across schemes and tick modes, replay equivalence to
- * the synthetic stream it recorded, storm determinism / saturation /
+ * byte-identity across schemes, replays and storms pinned to frozen
+ * goldens under both the skipping and the stepped cycle loop, replay
+ * equivalence to the synthetic stream it recorded, storm determinism /
+ * saturation /
  * open-loop loss, coherence invalidation fan-out and drain, and the
  * fatal composition rules.
  */
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "golden.hh"
 #include "sim/system.hh"
 
 namespace eqx {
@@ -114,19 +117,15 @@ TEST_F(TraceSystemFixture, ReplayIsBitIdenticalAcrossTickModes)
     sc.traffic.trace = "capture:" + trace;
     ASSERT_TRUE(System(sc, tiny()).run().completed);
 
-    RunResult results[2];
-    for (int exhaustive = 0; exhaustive < 2; ++exhaustive) {
-        SystemConfig rc = cfg("SeparateBase");
-        rc.traffic.trace = "replay:" + trace;
-        rc.exhaustiveNocTick = exhaustive == 1;
-        rc.timeSkip = exhaustive == 0;
-        results[exhaustive] = System(rc, tiny()).run();
-    }
-    EXPECT_EQ(results[0].cycles, results[1].cycles);
-    EXPECT_EQ(results[0].reqPackets, results[1].reqPackets);
-    EXPECT_EQ(results[0].repPackets, results[1].repPackets);
-    EXPECT_EQ(results[0].reqNetNs, results[1].reqNetNs);
-    EXPECT_EQ(results[0].repNetNs, results[1].repNetNs);
+    // Golden captured at commit 7f8757d, where the activity-scheduled
+    // skipping run and the exhaustive stepped run both produced it.
+    const golden::Golden want{0x5949335f0cd1d81eULL, 3710, 198396, 10600,
+                              840554};
+    SystemConfig rc = cfg("SeparateBase");
+    rc.traffic.trace = "replay:" + trace;
+    rc.collectMetrics = true;
+    EXPECT_EQ(golden::ofRun(System(rc, tiny()).run()), want);
+    EXPECT_EQ(golden::ofRun(golden::steppedRun(rc, tiny())), want);
 }
 
 TEST_F(TraceSystemFixture, ReplayRejectsPeCountMismatch)
@@ -205,23 +204,16 @@ TEST(StormSystem, ReplacesPesAndRunsToCompletion)
 
 TEST(StormSystem, IsDeterministicAcrossRunsAndTickModes)
 {
-    RunResult runs[3];
-    for (int i = 0; i < 3; ++i) {
-        SystemConfig sc = stormCfg("SeparateBase", "storm-diurnal", 32.0);
-        if (i == 2) {
-            sc.exhaustiveNocTick = true;
-            sc.timeSkip = false;
-        }
-        runs[i] = System(sc, tiny()).run();
-    }
-    for (int i = 1; i < 3; ++i) {
-        EXPECT_EQ(runs[i].cycles, runs[0].cycles) << i;
-        EXPECT_EQ(runs[i].stormOffered, runs[0].stormOffered) << i;
-        EXPECT_EQ(runs[i].stormInjected, runs[0].stormInjected) << i;
-        EXPECT_EQ(runs[i].stormDelivered, runs[0].stormDelivered) << i;
-        EXPECT_EQ(runs[i].stormDropped, runs[0].stormDropped) << i;
-        EXPECT_EQ(runs[i].repNetNs, runs[0].repNetNs) << i;
-    }
+    // Two skipping runs and one stepped run, all equal to the golden
+    // captured at commit 7f8757d (where the exhaustive stepped run
+    // produced it too). The record digest covers the storm columns.
+    const golden::Golden want{0x262b15abfc231cc4ULL, 2101, 81936, 4368,
+                              32362};
+    SystemConfig sc = stormCfg("SeparateBase", "storm-diurnal", 32.0);
+    sc.collectMetrics = true;
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(golden::ofRun(System(sc, tiny()).run()), want) << i;
+    EXPECT_EQ(golden::ofRun(golden::steppedRun(sc, tiny())), want);
 }
 
 TEST(StormSystem, OverloadSaturatesTheBoundedBacklog)
