@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "gpu/cache_bank.hh"
@@ -182,6 +184,70 @@ TEST(CacheBank, DirtyEvictionWritesBack)
     EXPECT_GE(f.cb.hbm().stats().get("writes"), 1.0);
     EXPECT_GE(f.cb.stats().get("writebacks_done"), 1.0);
     EXPECT_TRUE(f.cb.drained());
+}
+
+TEST(CacheBank, ScriptedRunStatsMatchGolden)
+{
+    // Every CB and HBM counter, pinned from the string-keyed StatGroup
+    // the bank used before its counters became typed. The script
+    // exercises hits, misses, merges, fills, dirty writebacks, MSHR,
+    // HBM-queue and reply-queue stalls, and the coherence directory.
+    CbParams p;
+    p.l2 = CacheGeometry{4 * 64 * 2, 64, 2}; // 4 sets x 2 ways
+    p.mshrs = 4;
+    p.targetsPerMshr = 2;
+    p.replyQueuePackets = 2;
+    p.inputQueuePackets = 4;
+    p.hbm.channels = 2;
+    p.hbm.queueDepth = 1;
+    Fixture f(p);
+    f.cb.enableCoherence(CoherenceParams{2});
+    for (int cycle = 0; cycle < 3000; ++cycle) {
+        f.inj.accepting = (cycle / 7) % 4 != 0;
+        if (cycle < 1500 && cycle % 3 == 0) {
+            // 12 lines, one DRAM row each, over 4 L2 sets and 4 HBM
+            // banks: hits, evictions and row conflicts. Every 16th
+            // request opens a same-line burst that overflows an MSHR.
+            int i = cycle / 3;
+            int k = i % 16 < 4 ? 0 : (i * 5) % 12;
+            Addr addr = static_cast<Addr>(k * 1024 + k % 4) * 64;
+            auto req = f.request(addr, i % 4 == 1,
+                                 static_cast<NodeId>(1 + i % 7));
+            if (f.cb.canAccept(req))
+                f.cb.accept(req, f.clock);
+        }
+        if (cycle % 50 == 7)
+            f.cb.accept(makePacket(PacketType::InvAck, 3, 5,
+                                   f.sizes.invAckBits, 0),
+                        f.clock);
+        f.run(1);
+    }
+    EXPECT_TRUE(f.cb.drained());
+    const std::map<std::string, double> cb_golden = {
+        {"fills", 55},
+        {"inv_acks_received", 60},
+        {"invalidations_injected", 103},
+        {"invalidations_sent", 103},
+        {"l2_miss_merges", 28},
+        {"l2_read_hits", 177},
+        {"l2_read_misses", 41},
+        {"l2_write_hits", 46},
+        {"l2_write_misses", 14},
+        {"read_requests", 240},
+        {"replies_injected", 306},
+        {"stall_hbm_queue", 49},
+        {"stall_mshr_full", 64},
+        {"stall_mshr_targets", 354},
+        {"stall_reply_queue", 726},
+        {"write_requests", 66},
+        {"writebacks_done", 16},
+    };
+    const std::map<std::string, double> hbm_golden = {
+        {"completions", 71}, {"reads", 55},    {"row_conflicts", 52},
+        {"row_empty", 4},    {"row_hits", 15}, {"writes", 16},
+    };
+    EXPECT_EQ(f.cb.stats().all(), cb_golden);
+    EXPECT_EQ(f.cb.hbm().stats().all(), hbm_golden);
 }
 
 TEST(CacheBank, ReplyDelivModeRejectsReplies)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/pe.hh"
@@ -186,6 +190,59 @@ TEST(Pe, WritesAreWriteThrough)
     EXPECT_GT(before, 0);
     f.pe.accept(f.replyFor(f.inj.sent.front()), f.clock);
     EXPECT_EQ(f.pe.outstanding(), before - 1);
+}
+
+TEST(Pe, ScriptedRunStatsMatchGolden)
+{
+    // Every PE counter, pinned from the string-keyed StatGroup the PE
+    // used before its counters became typed. The script exercises L1
+    // hits, MSHR merges, both MSHR stalls, window stalls, injection
+    // and ack-injection stalls, and invalidation handling.
+    PeParams pp;
+    pp.l1 = CacheGeometry{4 * 64, 64, 2}; // 2 sets x 2 ways
+    pp.l1Mshrs = 2;
+    pp.l1TargetsPerMshr = 2;
+    pp.maxOutstanding = 6;
+    WorkloadProfile wp;
+    wp.instsPerPe = 600;
+    wp.memRatio = 0.6;
+    wp.readFrac = 0.8;
+    wp.privateLines = 6;
+    wp.sharedFrac = 0.0;
+    wp.seqProb = 0.2;
+    Fixture f(wp, pp);
+
+    std::deque<std::pair<Cycle, PacketPtr>> inflight;
+    for (int cycle = 0; cycle < 4000 && !f.pe.done(); ++cycle) {
+        f.inj.accepting = (cycle / 5) % 3 != 0;
+        if (cycle % 37 == 5)
+            f.pe.accept(makePacket(PacketType::Invalidate, 10, 0,
+                                   f.sizes.invalidateBits,
+                                   static_cast<Addr>(cycle % 6) * 64,
+                                   static_cast<std::uint64_t>(cycle)),
+                        f.clock);
+        f.pe.tick(++f.clock);
+        for (auto &pkt : f.inj.sent)
+            if (pkt->type != PacketType::InvAck)
+                inflight.emplace_back(f.clock + 12, pkt);
+        f.inj.sent.clear();
+        while (!inflight.empty() && inflight.front().first <= f.clock) {
+            f.pe.accept(f.replyFor(inflight.front().second), f.clock);
+            inflight.pop_front();
+        }
+    }
+    ASSERT_TRUE(f.pe.done());
+    EXPECT_EQ(f.pe.instsIssued(), 600u);
+    const std::map<std::string, double> golden = {
+        {"inv_acks_sent", 15},       {"invalidations_received", 15},
+        {"l1_read_hits", 201},       {"l1_read_merges", 46},
+        {"l1_read_misses", 56},      {"read_replies", 56},
+        {"stall_ack_inject", 15},    {"stall_inject", 51},
+        {"stall_mshr_full", 11},     {"stall_mshr_targets", 145},
+        {"stall_window", 43},        {"write_replies", 62},
+        {"writes_issued", 62},
+    };
+    EXPECT_EQ(f.pe.stats().all(), golden);
 }
 
 TEST(Pe, RequestDeliveryToPePanics)
