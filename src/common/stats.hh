@@ -8,6 +8,8 @@
 #ifndef EQX_COMMON_STATS_HH
 #define EQX_COMMON_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -109,6 +111,55 @@ class StatGroup
 
   private:
     std::map<std::string, double> values_;
+};
+
+/**
+ * Event counters indexed by an enum, for components that count on
+ * their per-cycle path: counting is one array increment. view()
+ * renders the non-zero counters into a StatGroup under their names,
+ * so a reader sees the same map a StatGroup::inc per event would have
+ * built.
+ *
+ * @tparam Id enum class numbering the counters from 0, with a final
+ *            Count enumerator.
+ */
+template <typename Id>
+class CounterArray
+{
+  public:
+    static constexpr std::size_t kSize =
+        static_cast<std::size_t>(Id::Count);
+
+    /** @p names gives each counter's name, in enum order. */
+    template <std::size_t N>
+    explicit CounterArray(const char *const (&names)[N]) : names_(names)
+    {
+        static_assert(N == kSize, "one name per counter");
+    }
+
+    void inc(Id id) { ++counts_[static_cast<std::size_t>(id)]; }
+
+    std::uint64_t
+    operator[](Id id) const
+    {
+        return counts_[static_cast<std::size_t>(id)];
+    }
+
+    /** The non-zero counters by name, refreshed on every call. */
+    const StatGroup &
+    view() const
+    {
+        view_.reset();
+        for (std::size_t i = 0; i < kSize; ++i)
+            if (counts_[i] != 0)
+                view_.set(names_[i], static_cast<double>(counts_[i]));
+        return view_;
+    }
+
+  private:
+    const char *const *names_;
+    std::array<std::uint64_t, kSize> counts_{};
+    mutable StatGroup view_;
 };
 
 /** Geometric mean of a vector (ignores non-positive entries). */

@@ -6,13 +6,39 @@
 
 namespace eqx {
 
+namespace {
+
+/** CacheBank::Stat names, in enum order. */
+const char *const kStatNames[] = {
+    "invalidations_sent",
+    "inv_acks_received",
+    "read_requests",
+    "write_requests",
+    "l2_read_hits",
+    "l2_write_hits",
+    "l2_read_misses",
+    "l2_write_misses",
+    "l2_miss_merges",
+    "stall_reply_queue",
+    "stall_mshr_targets",
+    "stall_mshr_full",
+    "stall_hbm_queue",
+    "fills",
+    "writebacks_done",
+    "replies_injected",
+    "invalidations_injected",
+};
+
+} // namespace
+
 CacheBank::CacheBank(NodeId node, const CbParams &params,
                      PacketInjector *reply_injector,
                      const PacketSizes *sizes)
     : node_(node), params_(params), replyInjector_(reply_injector),
       sizes_(sizes), l2_(params.l2),
       hbm_(params.hbm,
-           [this](const MemRequest &r, Cycle now) { onMemComplete(r, now); })
+           [this](const MemRequest &r, Cycle now) { onMemComplete(r, now); }),
+      counters_(kStatNames)
 {
     eqx_assert(replyInjector_ && sizes_, "cache bank needs its context");
 }
@@ -47,8 +73,7 @@ CacheBank::updateSharers(const PacketPtr &req)
         invQueue_.push_back(makePacket(PacketType::Invalidate, node_,
                                        sharer, sizes_->invalidateBits,
                                        req->addr, req->tag));
-        ++invSent_;
-        stats_.inc("invalidations_sent");
+        counters_.inc(Stat::InvalidationsSent);
     }
     set.clear();
     set.insert(req->src);
@@ -58,15 +83,15 @@ void
 CacheBank::accept(const PacketPtr &pkt, Cycle)
 {
     if (pkt->type == PacketType::InvAck) {
-        ++invAcks_;
-        stats_.inc("inv_acks_received");
+        counters_.inc(Stat::InvAcksReceived);
         return;
     }
     if (cohEnabled_)
         updateSharers(pkt);
     inputQueue_.push_back(pkt);
-    stats_.inc(pkt->type == PacketType::ReadRequest ? "read_requests"
-                                                    : "write_requests");
+    counters_.inc(pkt->type == PacketType::ReadRequest
+                      ? Stat::ReadRequests
+                      : Stat::WriteRequests);
 }
 
 PacketPtr
@@ -93,7 +118,7 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
         if (static_cast<int>(replyQueue_.size()) +
                 static_cast<int>(hitPipeline_.size()) >=
             params_.replyQueuePackets) {
-            stats_.inc("stall_reply_queue");
+            counters_.inc(Stat::StallReplyQueue);
             return false;
         }
         if (is_write)
@@ -101,7 +126,7 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
         hitPipeline_.push_back(
             {now + static_cast<Cycle>(params_.l2HitLatency),
              makeReply(req)});
-        stats_.inc(is_write ? "l2_write_hits" : "l2_read_hits");
+        counters_.inc(is_write ? Stat::L2WriteHits : Stat::L2ReadHits);
         return true;
     }
 
@@ -110,24 +135,24 @@ CacheBank::processRequest(const PacketPtr &req, Cycle now)
     if (it != missTable_.end()) {
         if (static_cast<int>(it->second.size()) >=
             params_.targetsPerMshr) {
-            stats_.inc("stall_mshr_targets");
+            counters_.inc(Stat::StallMshrTargets);
             return false;
         }
         it->second.push_back(req);
-        stats_.inc("l2_miss_merges");
+        counters_.inc(Stat::L2MissMerges);
         return true;
     }
     if (static_cast<int>(missTable_.size()) >= params_.mshrs) {
-        stats_.inc("stall_mshr_full");
+        counters_.inc(Stat::StallMshrFull);
         return false;
     }
     if (!hbm_.canEnqueue(req->addr)) {
-        stats_.inc("stall_hbm_queue");
+        counters_.inc(Stat::StallHbmQueue);
         return false;
     }
     hbm_.enqueue(MemRequest{req->addr, /*write=*/false, line}, now);
     missTable_[line].push_back(req);
-    stats_.inc(is_write ? "l2_write_misses" : "l2_read_misses");
+    counters_.inc(is_write ? Stat::L2WriteMisses : Stat::L2ReadMisses);
     return true;
 }
 
@@ -135,7 +160,7 @@ void
 CacheBank::onMemComplete(const MemRequest &mreq, Cycle)
 {
     if (mreq.write) {
-        stats_.inc("writebacks_done");
+        counters_.inc(Stat::WritebacksDone);
         return;
     }
     Addr line = mreq.tag;
@@ -154,7 +179,7 @@ CacheBank::onMemComplete(const MemRequest &mreq, Cycle)
         replyQueue_.push_back(makeReply(req));
     }
     missTable_.erase(it);
-    stats_.inc("fills");
+    counters_.inc(Stat::Fills);
 }
 
 void
@@ -187,7 +212,7 @@ CacheBank::tick(Cycle now)
          it != replyQueue_.end() && scanned < kDrainScan; ++scanned) {
         if (replyInjector_->tryInject(*it)) {
             it = replyQueue_.erase(it);
-            stats_.inc("replies_injected");
+            counters_.inc(Stat::RepliesInjected);
         } else {
             ++it;
         }
@@ -201,7 +226,7 @@ CacheBank::tick(Cycle now)
          it != invQueue_.end() && scanned < kDrainScan; ++scanned) {
         if (replyInjector_->tryInject(*it)) {
             it = invQueue_.erase(it);
-            stats_.inc("invalidations_injected");
+            counters_.inc(Stat::InvalidationsInjected);
         } else {
             ++it;
         }

@@ -70,8 +70,16 @@ class CacheBank : public PacketSink
         coh_ = cp;
     }
 
-    std::uint64_t invalidationsSent() const { return invSent_; }
-    std::uint64_t invAcksReceived() const { return invAcks_; }
+    std::uint64_t
+    invalidationsSent() const
+    {
+        return counters_[Stat::InvalidationsSent];
+    }
+    std::uint64_t
+    invAcksReceived() const
+    {
+        return counters_[Stat::InvAcksReceived];
+    }
 
     /** Advance one core cycle. */
     void tick(Cycle now);
@@ -90,13 +98,36 @@ class CacheBank : public PacketSink
 
     const TagArray &l2() const { return l2_; }
     const HbmStack &hbm() const { return hbm_; }
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &stats() const { return counters_.view(); }
 
     // PacketSink (request ejection side).
     bool canAccept(const PacketPtr &pkt) override;
     void accept(const PacketPtr &pkt, Cycle core_now) override;
 
   private:
+    /** Event counters; stats() names them in cache_bank.cc. */
+    enum class Stat : std::uint8_t
+    {
+        InvalidationsSent,
+        InvAcksReceived,
+        ReadRequests,
+        WriteRequests,
+        L2ReadHits,
+        L2WriteHits,
+        L2ReadMisses,
+        L2WriteMisses,
+        L2MissMerges,
+        StallReplyQueue,
+        StallMshrTargets,
+        StallMshrFull,
+        StallHbmQueue,
+        Fills,
+        WritebacksDone,
+        RepliesInjected,
+        InvalidationsInjected,
+        Count
+    };
+
     struct DelayedReply
     {
         Cycle dueAt;
@@ -134,10 +165,8 @@ class CacheBank : public PacketSink
     CoherenceParams coh_;
     std::map<Addr, std::set<NodeId>> sharers_;
     std::deque<PacketPtr> invQueue_;
-    std::uint64_t invSent_ = 0;
-    std::uint64_t invAcks_ = 0;
 
-    StatGroup stats_;
+    CounterArray<Stat> counters_;
 };
 
 } // namespace eqx

@@ -19,12 +19,16 @@ namespace eqx {
 /**
  * Abstracts "send this packet into the right network": the scheme
  * decides between request/reply networks, CMesh overlay, or DA2Mesh
- * subnets. Returns false when the NI cannot take the packet now.
+ * subnets. tryInject returns false when the NI cannot take the packet
+ * now. canInject answers the same question before the packet exists:
+ * when it returns true for @p dst, a tryInject of a packet bound for
+ * @p dst before anything else touches the networks must succeed.
  */
 class PacketInjector
 {
   public:
     virtual ~PacketInjector() = default;
+    virtual bool canInject(NodeId dst) const = 0;
     virtual bool tryInject(const PacketPtr &pkt) = 0;
 };
 

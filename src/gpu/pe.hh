@@ -85,13 +85,35 @@ class ProcessingElement : public PacketSink
     std::uint64_t instsIssued() const { return instsIssued_; }
     int outstanding() const { return outstanding_; }
     const TagArray &l1() const { return l1_; }
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &stats() const { return counters_.view(); }
 
     // PacketSink: replies are always consumed immediately.
     bool canAccept(const PacketPtr &pkt) override;
     void accept(const PacketPtr &pkt, Cycle core_now) override;
 
   private:
+    /** Event counters; stats() names them in pe.cc. */
+    enum class Stat : std::uint8_t
+    {
+        L1ReadHits,
+        L1ReadMerges,
+        L1ReadMisses,
+        StallMshrTargets,
+        StallMshrFull,
+        StallInject,
+        StallWindow,
+        StallAckInject,
+        WritesIssued,
+        InvAcksSent,
+        ReadReplies,
+        WriteReplies,
+        InvalidationsReceived,
+        Count
+    };
+
+    /** Send the pending op's request to its CB; false = stall. */
+    bool sendRequest(PacketType type, int bits);
+
     /** Try to complete the pending memory op; false = stall. */
     bool processPendingMem();
 
@@ -113,7 +135,7 @@ class ProcessingElement : public PacketSink
     std::deque<PacketPtr> pendingAcks_;
 
     std::uint64_t instsIssued_ = 0;
-    StatGroup stats_;
+    CounterArray<Stat> counters_;
 };
 
 } // namespace eqx

@@ -81,7 +81,7 @@ class HbmStack
     /** Requests accepted but not yet completed. */
     int outstanding() const { return outstanding_; }
 
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &stats() const { return counters_.view(); }
 
     /** Address decomposition helpers (line-interleaved channels). */
     int channelOf(Addr addr) const;
@@ -89,15 +89,35 @@ class HbmStack
     std::int64_t rowOf(Addr addr) const;
 
   private:
+    /** Event counters; stats() names them in hbm.cc. */
+    enum class Stat : std::uint8_t
+    {
+        Reads,
+        Writes,
+        RowHits,
+        RowConflicts,
+        RowEmpty,
+        Completions,
+        Count
+    };
+
     struct Bank
     {
         std::int64_t openRow = -1;
         Cycle readyAt = 0;
     };
 
+    /** A queued request with its bank and row decoded at enqueue. */
+    struct Queued
+    {
+        MemRequest req;
+        int bank;
+        std::int64_t row;
+    };
+
     struct Channel
     {
-        std::deque<MemRequest> queue;
+        std::deque<Queued> queue;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
     };
@@ -112,16 +132,20 @@ class HbmStack
         }
     };
 
+    /** FR-FCFS issue on one backlogged channel (no-op while its bus
+     *  is busy or no queued request's bank is ready). */
     void issueChannel(Channel &ch, Cycle now);
 
     HbmParams params_;
     Callback onComplete_;
     std::vector<Channel> channels_;
+    /** Bit c set iff channels_[c] has queued requests. */
+    std::uint64_t backlog_ = 0;
     std::priority_queue<Inflight, std::vector<Inflight>,
                         std::greater<Inflight>>
         inflight_;
     int outstanding_ = 0;
-    StatGroup stats_;
+    CounterArray<Stat> counters_;
 };
 
 } // namespace eqx

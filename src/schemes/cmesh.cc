@@ -40,21 +40,25 @@ class OverlayInjector : public PacketInjector
     OverlayInjector(Network *mesh, Network *overlay, NodeId node,
                     CmeshMap map, int min_hops)
         : mesh_(mesh), overlay_(overlay), node_(node), map_(map),
-          minHops_(min_hops)
+          minHops_(min_hops), entry_(map.overlayNode(node))
     {}
+
+    bool
+    canInject(NodeId dst) const override
+    {
+        if (ridesOverlay(dst) && overlay_->canInject(entry_))
+            return true;
+        return mesh_->canInject(node_);
+    }
 
     bool
     tryInject(const PacketPtr &pkt) override
     {
-        const Topology &t = mesh_->topology();
-        int dist = t.distance(t.coord(node_), t.coord(pkt->dst));
-        NodeId entry = map_.overlayNode(node_);
-        NodeId exit = map_.overlayNode(pkt->dst);
-        if (dist >= minHops_ && entry != exit) {
+        if (ridesOverlay(pkt->dst)) {
             NodeId tile_dst = pkt->dst;
             pkt->finalDst = tile_dst;
-            pkt->dst = exit;
-            if (overlay_->inject(entry, pkt))
+            pkt->dst = map_.overlayNode(tile_dst);
+            if (overlay_->inject(entry_, pkt))
                 return true;
             pkt->dst = tile_dst; // fall back to the mesh
             pkt->finalDst = kInvalidNode;
@@ -63,11 +67,21 @@ class OverlayInjector : public PacketInjector
     }
 
   private:
+    /** Distant enough, and leaving the entry's concentration group. */
+    bool
+    ridesOverlay(NodeId dst) const
+    {
+        const Topology &t = mesh_->topology();
+        return t.distance(t.coord(node_), t.coord(dst)) >= minHops_ &&
+               map_.overlayNode(dst) != entry_;
+    }
+
     Network *mesh_;
     Network *overlay_;
     NodeId node_;
     CmeshMap map_;
     int minHops_;
+    NodeId entry_; ///< overlay node of this tile
 };
 
 /** Overlay exit: hands packets to the endpoint of their finalDst tile. */

@@ -22,6 +22,8 @@ class DirectInjector : public PacketInjector
   public:
     DirectInjector(Network *net, NodeId node) : net_(net), node_(node) {}
 
+    bool canInject(NodeId) const override { return net_->canInject(node_); }
+
     bool
     tryInject(const PacketPtr &pkt) override
     {
@@ -42,13 +44,24 @@ class SubnetInjector : public PacketInjector
     {}
 
     bool
+    canInject(NodeId dst) const override
+    {
+        return subnetOf(dst)->canInject(node_);
+    }
+
+    bool
     tryInject(const PacketPtr &pkt) override
     {
-        auto idx = static_cast<std::size_t>(pkt->dst) % subnets_.size();
-        return subnets_[idx]->inject(node_, pkt);
+        return subnetOf(pkt->dst)->inject(node_, pkt);
     }
 
   private:
+    Network *
+    subnetOf(NodeId dst) const
+    {
+        return subnets_[static_cast<std::size_t>(dst) % subnets_.size()];
+    }
+
     std::vector<Network *> subnets_;
     NodeId node_;
 };

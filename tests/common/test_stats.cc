@@ -296,6 +296,37 @@ TEST(StatGroup, IncSetGet)
     EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
 }
 
+enum class Ev : std::uint8_t
+{
+    Alpha,
+    Beta,
+    Gamma,
+    Count
+};
+
+const char *const kEvNames[] = {"alpha", "beta", "gamma"};
+
+TEST(CounterArray, ViewMatchesStringKeyedIncrements)
+{
+    CounterArray<Ev> c(kEvNames);
+    StatGroup expected;
+    EXPECT_TRUE(c.view().all().empty());
+    for (int i = 0; i < 5; ++i) {
+        c.inc(Ev::Gamma);
+        expected.inc("gamma");
+    }
+    c.inc(Ev::Alpha);
+    expected.inc("alpha");
+    EXPECT_EQ(c[Ev::Gamma], 5u);
+    EXPECT_EQ(c[Ev::Beta], 0u);
+    // Zero counters stay absent, exactly as never-incremented keys.
+    EXPECT_EQ(c.view().all(), expected.all());
+    EXPECT_FALSE(c.view().has("beta"));
+    c.inc(Ev::Beta);
+    expected.inc("beta");
+    EXPECT_EQ(c.view().all(), expected.all()); // refreshed per call
+}
+
 TEST(StatGroup, MergeAdds)
 {
     StatGroup a, b;

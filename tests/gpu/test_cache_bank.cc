@@ -14,6 +14,8 @@ namespace {
 class CapturingInjector : public PacketInjector
 {
   public:
+    bool canInject(NodeId) const override { return accepting; }
+
     bool
     tryInject(const PacketPtr &pkt) override
     {

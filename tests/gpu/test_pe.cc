@@ -16,9 +16,12 @@ namespace {
 class CapturingInjector : public PacketInjector
 {
   public:
+    bool canInject(NodeId) const override { return accepting; }
+
     bool
     tryInject(const PacketPtr &pkt) override
     {
+        ++attempts;
         if (!accepting)
             return false;
         sent.push_back(pkt);
@@ -26,6 +29,7 @@ class CapturingInjector : public PacketInjector
     }
 
     bool accepting = true;
+    int attempts = 0; ///< tryInject calls, accepted or not
     std::vector<PacketPtr> sent;
 };
 
@@ -163,6 +167,22 @@ TEST(Pe, InjectorRefusalStallsWithoutLoss)
         f.inj.sent.clear();
     }
     EXPECT_TRUE(f.pe.done());
+}
+
+TEST(Pe, RefusedInjectionAllocatesNoPackets)
+{
+    // The PE asks canInject before building a request, so a refused
+    // retry every cycle neither allocates nor offers a packet.
+    Fixture f(readStream());
+    f.inj.accepting = false;
+    f.run(1); // any lazy pool setup happens outside the window
+    std::size_t free_before = packetPoolFreeCount();
+    std::uint64_t id_before = nextPacketId();
+    f.run(50);
+    EXPECT_EQ(packetPoolFreeCount(), free_before);
+    EXPECT_EQ(nextPacketId(), id_before + 1); // no makePacket in between
+    EXPECT_EQ(f.inj.attempts, 0);
+    EXPECT_EQ(f.pe.stats().get("stall_inject"), 51.0);
 }
 
 TEST(Pe, OutstandingWindowLimitsIssue)

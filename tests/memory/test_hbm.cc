@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,16 @@ TEST(Hbm, AddressDecompositionInterleavesChannels)
     int ch1 = h.stack.channelOf(64);
     EXPECT_NE(ch0, ch1);
     EXPECT_EQ(h.stack.channelOf(0), h.stack.channelOf(16 * 64));
+}
+
+TEST(Hbm, MoreThan64ChannelsRejected)
+{
+    // The backlog mask has one bit per channel.
+    HbmParams p;
+    p.channels = 64;
+    EXPECT_NO_THROW(HbmStack(p, nullptr));
+    p.channels = 65;
+    EXPECT_THROW(HbmStack(p, nullptr), std::logic_error);
 }
 
 TEST(Hbm, SingleReadCompletes)
