@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 
@@ -11,24 +12,6 @@ void
 Config::set(const std::string &key, const std::string &value)
 {
     kv_[key] = value;
-}
-
-void
-Config::set(const std::string &key, long value)
-{
-    kv_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, double value)
-{
-    kv_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    kv_[key] = value ? "true" : "false";
 }
 
 std::string
@@ -45,8 +28,9 @@ Config::getInt(const std::string &key, long fallback) const
     if (it == kv_.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE)
         eqx_fatal("config key '", key, "' is not an integer: ", it->second);
     return v;
 }

@@ -22,9 +22,6 @@ class Config
 
     /** Set a value, overriding any previous one. */
     void set(const std::string &key, const std::string &value);
-    void set(const std::string &key, long value);
-    void set(const std::string &key, double value);
-    void set(const std::string &key, bool value);
 
     /** Typed getters returning the fallback when the key is absent. */
     std::string getString(const std::string &key,

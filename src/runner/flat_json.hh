@@ -1,9 +1,9 @@
 /**
  * @file
  * Strict flat-JSON value model and parser, shared by every on-disk
- * line format in the tree: the sweep cache/journal records and the
- * sweepd wire protocol (src/sweep/record_io) and the traffic trace
- * capture/replay files (src/traffic/trace_io).
+ * line format in the tree: the sweep cache/journal records
+ * (src/sweep/record_io) and the traffic trace capture/replay files
+ * (src/traffic/trace_io).
  *
  * The parser handles exactly what the JsonObject builder (jsonl.hh)
  * emits: one flat object of string / number / bool / null values —

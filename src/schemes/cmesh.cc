@@ -165,7 +165,7 @@ class InterposerCMeshModel final : public SchemeModel
         overlay.params = baseParams(cfg, "cmesh");
         overlay.params.width = (cfg.width + 1) / 2;
         overlay.params.height = (cfg.height + 1) / 2;
-        overlay.params.flitBits = cfg.cmeshFlitBits;
+        overlay.params.flitBits = kCmeshFlitBits;
         overlay.params.classVcs = true;
         overlay.params.coherenceVcs = cfg.traffic.coherenceVcs;
         overlay.params.routing = RoutingMode::XY;
@@ -188,8 +188,7 @@ class InterposerCMeshModel final : public SchemeModel
     {
         CmeshMap cmap{b.cfg.width, (b.cfg.width + 1) / 2};
         return std::make_unique<OverlayInjector>(
-            nets[0].get(), nets[1].get(), node, cmap,
-            b.cfg.cmeshMinHops);
+            nets[0].get(), nets[1].get(), node, cmap, kCmeshMinHops);
     }
 
     void

@@ -47,13 +47,13 @@ class Da2MeshModel final : public SplitSchemeModel
         std::vector<NetworkSpec> out;
         out.push_back(requestSpec(b));
 
-        for (int s = 0; s < cfg.da2Subnets; ++s) {
+        for (int s = 0; s < kDa2Subnets; ++s) {
             NetworkSpec sub;
             sub.params =
                 baseParams(cfg, "reply-sub" + std::to_string(s));
             sub.params.classes = {false, true};
             sub.params.flitBits =
-                std::max(1, cfg.flitBits / cfg.da2Subnets);
+                std::max(1, cfg.flitBits / kDa2Subnets);
             sub.params.routing = RoutingMode::XY;
             // Narrow wormhole buffers: packets span several
             // routers rather than fitting one VC, which is how the

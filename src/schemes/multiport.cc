@@ -36,7 +36,7 @@ class MultiPortModel final : public SplitSchemeModel
     {
         for (NodeId n : b.cbNodes) {
             NodeMods m;
-            m.localEjPorts = b.cfg.multiPortEjPorts;
+            m.localEjPorts = kMultiPortEjPorts;
             req.mods[n] = m;
         }
     }

@@ -179,11 +179,7 @@ ExperimentRunner::runMatrix()
         // The content-addressed cache consult, running in the pool
         // path so cache-served cells never occupy a simulation slot.
         pc.shortCircuit = [&](std::size_t i) {
-            CellResult &cell = cells[i];
-            if (!cfg_.cellLookup(cell))
-                return false;
-            cell.fromCache = true;
-            return true;
+            return cfg_.cellLookup(cells[i]);
         };
 
     JobPool pool(pc);

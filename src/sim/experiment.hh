@@ -48,8 +48,6 @@ struct CellResult
      * Not part of the sweep JSONL record schema.
      */
     std::size_t index = 0;
-    /** Served by the cell cache/journal instead of simulated. */
-    bool fromCache = false;
 };
 
 /** Configuration of a full experiment matrix. */

@@ -41,6 +41,12 @@ std::vector<Scheme> allSchemes();
 /** True for schemes with one shared physical network. */
 bool isSingleNetwork(Scheme s);
 
+// Fixed per-scheme parameters of the paper's configuration.
+constexpr int kMultiPortEjPorts = 2; ///< MultiPort CB ejection ports
+constexpr int kDa2Subnets = 8;       ///< DA2Mesh reply subnets, 1/8 flit
+constexpr int kCmeshMinHops = 3;     ///< mesh hops that take the overlay
+constexpr int kCmeshFlitBits = 256;  ///< CMesh overlay flit width
+
 /** Full-system configuration. */
 struct SystemConfig
 {
@@ -69,15 +75,11 @@ struct SystemConfig
     int vcDepthFlits = 5;
     int flitBits = 128;
 
-    // Scheme-specific knobs. MultiPort doubles the CB router's
-    // injection and ejection ports (Bakhoda et al. add ports rather
-    // than replicate the NI fourfold); the abl_eir_count bench sweeps
-    // higher port counts.
+    // MultiPort doubles the CB router's injection and ejection ports
+    // (Bakhoda et al. add ports rather than replicate the NI
+    // fourfold); the abl_eir_count bench sweeps higher injection port
+    // counts.
     int multiPortInjPorts = 2;
-    int multiPortEjPorts = 2;
-    int da2Subnets = 8;        ///< reply subnets, each 1/8 flit width
-    int cmeshMinHops = 3;      ///< mesh distance that prefers the overlay
-    int cmeshFlitBits = 256;
 
     /**
      * Reply-fabric topology (DESIGN.md §17): the geometry of every

@@ -84,7 +84,6 @@ CellCache::lookup(const CellDigest &digest, CellResult &out)
         return false;
     }
     out = std::move(rec.cell);
-    out.fromCache = true; // not serialized, so round-trips stay exact
     hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }

@@ -5,7 +5,7 @@
  * first two hex chars, a fan-out that keeps directories small at
  * design-space scale). Writes go through a temp file + atomic rename,
  * so concurrent writers — pool workers, parallel shards on a shared
- * filesystem, a live sweepd — can race on the same digest and every
+ * filesystem — can race on the same digest and every
  * reader still sees a complete record. Unparseable or mis-addressed
  * entries count as corrupt and behave as misses; a schema-version
  * bump changes every digest, so stale-schema entries are simply never

@@ -16,8 +16,7 @@
  *
  * The flat-JSON value model and parser live in runner/flat_json.hh
  * (shared with the traffic trace wire format); this header pulls them
- * in so existing record_io users compile unchanged. parseFlatJson is
- * also the wire parser of the sweepd query protocol.
+ * in so existing record_io users compile unchanged.
  */
 
 #ifndef EQX_SWEEP_RECORD_IO_HH

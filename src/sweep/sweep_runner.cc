@@ -42,6 +42,9 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
     eqx_assert(opt.shardCount >= 1 && opt.shardIndex >= 0 &&
                    opt.shardIndex < opt.shardCount,
                "bad shard spec ", opt.shardIndex, "/", opt.shardCount);
+    eqx_assert(!config.cellFilter && !config.cellLookup &&
+                   !config.cellDone,
+               "runSweep owns the sweep hooks; pass them unset");
 
     std::optional<CellCache> cache;
     std::optional<SweepJournal> journal;
@@ -58,20 +61,16 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
     ExperimentConfig ec = config;
 
     if (opt.shardCount > 1) {
-        auto prev = ec.cellFilter;
         int idx = opt.shardIndex;
         int cnt = opt.shardCount;
         std::uint64_t seed = ec.seed;
-        ec.cellFilter = [prev, seed, idx, cnt](const CellResult &c) {
-            if (prev && !prev(c))
-                return false;
+        ec.cellFilter = [seed, idx, cnt](const CellResult &c) {
             return cellShard(seed, c.scheme, c.benchmark, cnt) == idx;
         };
     }
 
     if (state->cache || state->journal) {
-        auto prev = ec.cellLookup;
-        ec.cellLookup = [state, prev](CellResult &c) {
+        ec.cellLookup = [state](CellResult &c) {
             const CellDigest &d = state->digests[c.index];
             std::size_t idx = c.index;
             if (state->journal) {
@@ -91,35 +90,27 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
                     return true;
                 }
             }
-            return prev ? prev(c) : false;
+            return false;
         };
-    }
 
-    {
-        auto prev = ec.cellDone;
-        auto onCell = opt.onCell;
-        ec.cellDone = [state, onCell, prev](const CellResult &c) {
+        ec.cellDone = [state](const CellResult &c) {
+            if (c.failed)
+                return;
             const CellDigest &d = state->digests[c.index];
             std::uint8_t src = state->source[c.index];
-            if (!c.failed) {
-                // Journal every owned success — including cache-served
-                // cells, so each shard's journal alone is a complete
-                // record of its cells and merges need no cache access.
-                if (state->journal && src != kJournal) {
-                    CellRecord rec;
-                    rec.digest = d;
-                    rec.cell = c;
-                    state->journal->append(rec);
-                }
-                // Store back unless the cache itself served it; this
-                // also warms the cache from journal-recovered cells.
-                if (state->cache && src != kCache)
-                    state->cache->store(d, c);
+            // Journal every owned success — including cache-served
+            // cells, so each shard's journal alone is a complete
+            // record of its cells and merges need no cache access.
+            if (state->journal && src != kJournal) {
+                CellRecord rec;
+                rec.digest = d;
+                rec.cell = c;
+                state->journal->append(rec);
             }
-            if (onCell)
-                onCell(d, c);
-            if (prev)
-                prev(c);
+            // Store back unless the cache itself served it; this also
+            // warms the cache from journal-recovered cells.
+            if (state->cache && src != kCache)
+                state->cache->store(d, c);
         };
     }
 

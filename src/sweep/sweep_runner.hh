@@ -16,7 +16,6 @@
 #define EQX_SWEEP_SWEEP_RUNNER_HH
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,12 +38,6 @@ struct SweepOptions
     /** This process owns cells with shard == shardIndex of shardCount. */
     int shardIndex = 0;
     int shardCount = 1;
-    /**
-     * Called (serialized) after every finished cell with its digest —
-     * the sweepd streaming point. Runs after the cell is journaled
-     * and stored, so a crash mid-callback loses no work.
-     */
-    std::function<void(const CellDigest &, const CellResult &)> onCell;
 
     bool enabled() const
     {
@@ -83,10 +76,8 @@ struct SweepOutcome
 /**
  * Run @p config's matrix through the fabric. Digests are computed up
  * front (cheap: config serialization, no simulation), then the matrix
- * runs with lookups short-circuiting the pool. Hooks already present
- * in @p config compose: its cellFilter is ANDed with the shard
- * predicate, its cellLookup is consulted after journal and cache
- * miss, its cellDone runs after the fabric's.
+ * runs with lookups short-circuiting the pool. The fabric installs
+ * the three sweep hooks itself, so @p config must leave them unset.
  */
 SweepOutcome runSweep(const ExperimentConfig &config,
                       const SweepOptions &opt);

@@ -10,10 +10,10 @@ namespace {
 TEST(Config, TypedRoundTrip)
 {
     Config c;
-    c.set("i", 42L);
-    c.set("d", 2.5);
-    c.set("b", true);
-    c.set("s", std::string("hello"));
+    c.set("i", "42");
+    c.set("d", "2.5");
+    c.set("b", "true");
+    c.set("s", "hello");
     EXPECT_EQ(c.getInt("i"), 42);
     EXPECT_DOUBLE_EQ(c.getDouble("d"), 2.5);
     EXPECT_TRUE(c.getBool("b"));
@@ -54,6 +54,11 @@ TEST(Config, BadTypeIsFatal)
     EXPECT_THROW(c.getInt("s"), std::runtime_error);
     EXPECT_THROW(c.getDouble("s"), std::runtime_error);
     EXPECT_THROW(c.getBool("s"), std::runtime_error);
+
+    // Out of long's range: strtol would clamp to LONG_MAX/LONG_MIN.
+    c.parseArgs({"seed=99999999999999999999", "neg=-99999999999999999999"});
+    EXPECT_THROW(c.getInt("seed"), std::runtime_error);
+    EXPECT_THROW(c.getInt("neg"), std::runtime_error);
 }
 
 TEST(Config, BoolSpellings)

@@ -61,7 +61,6 @@ TEST(CellCache, StoreLookupRoundTrip)
     ASSERT_TRUE(cache.lookup(d, out));
     EXPECT_EQ(cellJsonRecord(out), cellJsonRecord(cell));
     EXPECT_EQ(out.index, cell.index);
-    EXPECT_TRUE(out.fromCache);
 
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
