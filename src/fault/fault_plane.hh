@@ -62,10 +62,10 @@ class FaultPlane
 
     /** Apply schedule entries due at @p now and fire matured recovery
      *  events. The Network calls this right after advancing its tick,
-     *  before channel delivery, in both tick-loop flavours. */
+     *  before channel delivery. */
     void tick(Cycle now);
 
-    // ---- Receive-side wire filtering (Network delivery loops) ----
+    // ---- Receive-side wire filtering (Network::deliver) ----
     /** Arrivals on @p wi are withheld this tick? A stall of duration D
      *  armed at tick T covers ticks [T, T + D). */
     bool

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -51,16 +52,45 @@ Network::Network(const NetworkSpec &spec)
     for (NodeId i = 0; i < nr; ++i)
         routers_.emplace_back(i, topo_.get(), &params_, &activity_);
 
-    int max_chan_lat = 1;
-    auto newFlitChan = [&](int latency) {
-        max_chan_lat = std::max(max_chan_lat, latency);
-        flitChans_.emplace_back(latency);
+    // EIR interposer links: spans within the 1-cycle interposer reach
+    // (2 hops) traverse in a single tick; longer links would need
+    // repeaters and take a tick per reach-length segment.
+    auto eirSpan = [&](NodeId cb, NodeId e) {
+        return topo_->distance(topo_->coord(cb), topo_->coord(e));
+    };
+    auto eirLatency = [](int span) { return std::max(1, (span + 1) / 2); };
+
+    // Power-of-two pending wheel above the longest channel latency, so
+    // slot lookup is a mask. Sized before any channel exists: channels
+    // post straight into it.
+    int max_chan_lat = std::max(1, params_.channelLatencyCycles);
+    for (const auto &[cb, eirs] : spec.eirGroups) {
+        eqx_assert(cb >= 0 && cb < n, "EIR group CB out of range");
+        for (NodeId e : eirs) {
+            eqx_assert(e >= 0 && e < n, "EIR node out of range");
+            eqx_assert(e != cb, "a CB cannot be its own EIR");
+            max_chan_lat = std::max(max_chan_lat, eirLatency(eirSpan(cb, e)));
+        }
+    }
+    std::size_t wheel_slots = std::bit_ceil(
+        static_cast<std::size_t>(max_chan_lat) + 1);
+    pendingWheel_.assign(wheel_slots, {});
+    wheelMask_ = static_cast<std::uint32_t>(wheel_slots - 1);
+
+    // Each channel is tagged with the index its wire will take in the
+    // matching wire table (kNiWire marks the NI-bound tables).
+    auto newFlitChan = [&](int latency, std::uint32_t tag) {
+        flitChans_.emplace_back(latency, pendingWheel_.data(), wheelMask_,
+                                tag);
         return &flitChans_.back();
     };
-    auto newCreditChan = [&](int latency) {
-        max_chan_lat = std::max(max_chan_lat, latency);
-        creditChans_.emplace_back(latency);
+    auto newCreditChan = [&](int latency, std::uint32_t tag) {
+        creditChans_.emplace_back(latency, pendingWheel_.data(),
+                                  wheelMask_, tag);
         return &creditChans_.back();
+    };
+    auto nextTag = [](const auto &wires) {
+        return static_cast<std::uint32_t>(wires.size());
     };
 
     // Geo links: for every directed neighbour pair A -> B the topology
@@ -74,14 +104,14 @@ Network::Network(const NetworkSpec &spec)
             int b = topo_->neighbor(a, d);
             if (b < 0)
                 continue;
-            auto *fc = newFlitChan(lat);
-            auto *cc = newCreditChan(lat);
+            auto *fc = newFlitChan(lat, nextTag(routerFlitWires_));
+            auto *cc = newCreditChan(lat, nextTag(routerCreditWires_));
             int in_idx = routerRef(b).addInputPort(PortKind::Geo,
                                                    opposite(d), cc);
             int out_idx = routerRef(a).addOutputPort(
                 PortKind::Geo, d, fc, params_.geoLinksInterposer);
-            routerFlitWires_.push_back({fc, b, in_idx});
-            routerCreditWires_.push_back({cc, a, out_idx});
+            routerFlitWires_.push_back({b, in_idx});
+            routerCreditWires_.push_back({a, out_idx});
         }
     }
 
@@ -120,56 +150,48 @@ Network::Network(const NetworkSpec &spec)
 
         // Local injection port(s).
         for (int p = 0; p < mods.localInjPorts; ++p) {
-            auto *fc = newFlitChan(1);
-            auto *cc = newCreditChan(1);
+            std::uint32_t wi = nextTag(routerFlitWires_);
+            auto *fc = newFlitChan(1, wi);
+            auto *cc = newCreditChan(1, kNiWire | nextTag(niCreditWires_));
             int in_idx = routerRef(r).addInputPort(PortKind::LocalInj,
                                                    Dir::Local, cc);
             int buf = ni->addInjBuffer(1, fc, r, /*interposer=*/false);
-            auto wi = static_cast<std::uint32_t>(routerFlitWires_.size());
-            routerFlitWires_.push_back({fc, r, in_idx});
-            niCreditWires_.push_back({cc, i, buf});
+            routerFlitWires_.push_back({r, in_idx});
+            niCreditWires_.push_back({i, buf});
             injWires_.push_back({wi, i, buf, r, /*interposer=*/false,
                                  /*spanHops=*/0, /*creditLatency=*/1});
         }
 
         // Ejection port(s).
         for (int p = 0; p < mods.localEjPorts; ++p) {
-            auto *fc = newFlitChan(1);
-            auto *cc = newCreditChan(1);
+            auto *fc = newFlitChan(1, kNiWire | nextTag(niFlitWires_));
+            auto *cc = newCreditChan(1, nextTag(routerCreditWires_));
             int ej = ni->addEjPort(cc);
             int out_idx = routerRef(r).addOutputPort(PortKind::LocalEj,
                                                      Dir::Local, fc);
-            niFlitWires_.push_back({fc, i, ej});
-            routerCreditWires_.push_back({cc, r, out_idx});
+            niFlitWires_.push_back({i, ej});
+            routerCreditWires_.push_back({r, out_idx});
         }
 
         nis_.push_back(std::move(ni));
     }
 
     // EIR interposer links: CB NI buffer -> remote router extra port.
-    // Spans within the 1-cycle interposer reach (2 hops) traverse in a
-    // single cycle; longer links would need repeaters and take a cycle
-    // per reach-length segment.
     for (const auto &[cb, eirs] : spec.eirGroups) {
-        eqx_assert(cb >= 0 && cb < n, "EIR group CB out of range");
         for (NodeId e : eirs) {
-            eqx_assert(e >= 0 && e < n, "EIR node out of range");
-            eqx_assert(e != cb, "a CB cannot be its own EIR");
             NodeId er = topo_->routerOf(e);
-            int span = topo_->distance(topo_->coord(cb),
-                                       topo_->coord(e));
-            int lat = (span + 1) / 2;
-            if (lat < 1)
-                lat = 1;
-            auto *fc = newFlitChan(lat);
-            auto *cc = newCreditChan(lat);
+            int span = eirSpan(cb, e);
+            int lat = eirLatency(span);
+            std::uint32_t wi = nextTag(routerFlitWires_);
+            auto *fc = newFlitChan(lat, wi);
+            auto *cc =
+                newCreditChan(lat, kNiWire | nextTag(niCreditWires_));
             int in_idx = routerRef(er).addInputPort(PortKind::RemoteInj,
                                                     Dir::Local, cc);
             int buf = nis_[static_cast<std::size_t>(cb)]->addInjBuffer(
                 1, fc, er, /*interposer=*/true);
-            auto wi = static_cast<std::uint32_t>(routerFlitWires_.size());
-            routerFlitWires_.push_back({fc, er, in_idx});
-            niCreditWires_.push_back({cc, cb, buf});
+            routerFlitWires_.push_back({er, in_idx});
+            niCreditWires_.push_back({cb, buf});
             injWires_.push_back({wi, cb, buf, er, /*interposer=*/true,
                                  span, static_cast<Cycle>(lat)});
             ++remoteInjPorts_;
@@ -179,44 +201,6 @@ Network::Network(const NetworkSpec &spec)
     // ---- Activity-driven scheduling state (DESIGN.md §10) ----
     activeRouters_.assign((static_cast<std::size_t>(nr) + 63) / 64, 0);
     activeNis_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-    // Power-of-two wheel so slot lookup is a mask, and so channels can
-    // append payloads directly in pass-through mode (setWheel).
-    std::size_t wheel_slots = std::bit_ceil(
-        static_cast<std::size_t>(max_chan_lat) + 1);
-    pendingWheel_.assign(wheel_slots, {});
-    wheelMask_ = static_cast<std::uint32_t>(wheel_slots - 1);
-
-    attachChannels(/*passthrough=*/true);
-}
-
-void
-Network::attachChannels(bool passthrough)
-{
-    // Tag every channel with its wire id and attach the pending
-    // wheel. Wire ids flatten the four wire vectors in order.
-    std::uint32_t tag = 0;
-    auto attach = [&](auto *chan) {
-        if (passthrough)
-            chan->setWheel(pendingWheel_.data(), wheelMask_, tag++);
-        else
-            chan->setScheduler(this, tag++);
-    };
-    for (auto &w : routerFlitWires_)
-        attach(w.chan);
-    niFlitBase_ = tag;
-    for (auto &w : niFlitWires_)
-        attach(w.chan);
-    routerCreditBase_ = tag;
-    for (auto &w : routerCreditWires_)
-        attach(w.chan);
-    niCreditBase_ = tag;
-    for (auto &w : niCreditWires_)
-        attach(w.chan);
-    // Pass-through networks also let routers push sends straight into
-    // the wheel slots, skipping the channel objects on the hot path.
-    for (auto &r : routers_)
-        r.setDirectWheel(passthrough ? pendingWheel_.data() : nullptr,
-                         wheelMask_);
 }
 
 void
@@ -239,9 +223,6 @@ Network::armFaults(const FaultConfig &cfg, const std::string &name,
     plane_->finalize(seed);
     for (auto &ni : nis_)
         ni->attachFaultPlane(plane_.get());
-    // Fault semantics (wire stalls, checksum drops) act on flits held
-    // *inside* channels, so an armed network leaves pass-through mode.
-    attachChannels(/*passthrough=*/false);
 }
 
 void
@@ -301,7 +282,7 @@ Network::nextDueCycle(Cycle core_now) const
         if (w != 0)
             return core_now + 1;
     // Idle sets: the only future work is in-flight channel arrivals
-    // sitting in the pass-through wheel. Every buffered event is due
+    // sitting in the pending wheel. Every buffered event is due
     // within one wheel revolution of the current tick.
     Cycle due_tick = kNeverCycle;
     for (std::size_t s = 0; s < pendingWheel_.size(); ++s) {
@@ -410,79 +391,9 @@ Network::internalTick()
 }
 
 void
-Network::channelDue(std::uint32_t tag, Cycle due)
-{
-    // One send per (channel, tick) — enforced by Channel::send — means
-    // one event per (channel, tick): slots never hold duplicates.
-    pendingWheel_[due & wheelMask_].wires.push_back(tag);
-}
-
-void
-Network::deliverWire(std::uint32_t wire)
-{
-    if (wire < niFlitBase_) {
-        auto &w = routerFlitWires_[wire];
-        int fw = plane_ ? wireFault_[wire] : -1;
-        if (fw >= 0) {
-            if (plane_->wireStalled(fw, tick_)) {
-                // Withheld: repost so the arrival is retried next tick
-                // (flits keep accumulating in the channel meanwhile).
-                // Reposts can momentarily duplicate a wire in a wheel
-                // slot; the second visit's receive loop just finds the
-                // channel drained.
-                channelDue(wire, tick_ + 1);
-                return;
-            }
-            Flit f;
-            while (w.chan->receive(tick_, f)) {
-                plane_->touchFlit(fw, f);
-                if (f.fcs != flitFcs(f)) {
-                    plane_->onChecksumDrop(fw, f, tick_);
-                    continue;
-                }
-                routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-                    w.port, std::move(f), tick_);
-            }
-            markRouterActive(w.router);
-            return;
-        }
-        Flit f;
-        while (w.chan->receive(tick_, f))
-            routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-                w.port, std::move(f), tick_);
-        markRouterActive(w.router);
-    } else if (wire < routerCreditBase_) {
-        auto &w = niFlitWires_[wire - niFlitBase_];
-        Flit f;
-        while (w.chan->receive(tick_, f))
-            nis_[static_cast<std::size_t>(w.ni)]->acceptEjectedFlit(
-                w.ejPort, std::move(f));
-        markNiActive(w.ni);
-    } else if (wire < niCreditBase_) {
-        auto &w = routerCreditWires_[wire - routerCreditBase_];
-        Credit c;
-        while (w.chan->receive(tick_, c))
-            routers_[static_cast<std::size_t>(w.router)].creditArrived(
-                w.port, c.vc);
-        // Credits alone create no router work: no activation.
-    } else {
-        auto &w = niCreditWires_[wire - niCreditBase_];
-        Credit c;
-        while (w.chan->receive(tick_, c))
-            nis_[static_cast<std::size_t>(w.ni)]->creditArrived(w.buf,
-                                                                c.vc);
-        // A credit-stalled NI is non-idle and already active.
-    }
-}
-
-void
 Network::deliver()
 {
     auto &slot = pendingWheel_[tick_ & wheelMask_];
-    for (std::uint32_t wire : slot.wires)
-        deliverWire(wire);
-    slot.wires.clear();
-    // Pass-through payloads: dispatch directly, no channel access.
     // Flits first, then credits — credits only increment counters, and
     // every delivery lands before the stage passes, so the relative
     // order is unobservable. Arrival order scatters targets across the
@@ -491,44 +402,64 @@ Network::deliver()
     for (std::size_t k = 0; k < slot.flits.size(); ++k) {
         if (k + 1 < slot.flits.size()) {
             const auto &nx = slot.flits[k + 1];
-            if (nx.wire < niFlitBase_)
-                __builtin_prefetch(
-                    &routers_[static_cast<std::size_t>(
-                        routerFlitWires_[nx.wire].router)]);
+            if (!(nx.wire & kNiWire))
+                __builtin_prefetch(&routers_[static_cast<std::size_t>(
+                    routerFlitWires_[nx.wire].router)]);
         }
         auto &ev = slot.flits[k];
-        if (ev.wire < niFlitBase_) {
-            const auto &w = routerFlitWires_[ev.wire];
-            routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-                w.port, std::move(ev.f), tick_);
-            markRouterActive(w.router);
-        } else {
-            const auto &w = niFlitWires_[ev.wire - niFlitBase_];
+        if (ev.wire & kNiWire) {
+            const auto &w = niFlitWires_[ev.wire & ~kNiWire];
             nis_[static_cast<std::size_t>(w.ni)]->acceptEjectedFlit(
                 w.ejPort, std::move(ev.f));
             markNiActive(w.ni);
+            continue;
         }
+        // The fault plane acts on injection wires at delivery
+        // (DESIGN.md §11): a stalled wire withholds its flit a tick, a
+        // checksum mismatch drops it.
+        if (plane_ && wireFault_[ev.wire] >= 0) {
+            int fw = wireFault_[ev.wire];
+            if (plane_->wireStalled(fw, tick_)) {
+                withheld_.push_back(std::move(ev));
+                continue;
+            }
+            plane_->touchFlit(fw, ev.f);
+            if (ev.f.fcs != flitFcs(ev.f)) {
+                plane_->onChecksumDrop(fw, ev.f, tick_);
+                continue;
+            }
+        }
+        const auto &w = routerFlitWires_[ev.wire];
+        routers_[static_cast<std::size_t>(w.router)].acceptFlit(
+            w.port, std::move(ev.f), tick_);
+        markRouterActive(w.router);
     }
     slot.flits.clear();
+    if (!withheld_.empty()) {
+        // Withheld flits retry next tick ahead of that slot's own
+        // arrivals, which their wires sent later: per-wire FIFO order
+        // holds whatever the wire latency.
+        auto &next = pendingWheel_[(tick_ + 1) & wheelMask_].flits;
+        next.insert(next.begin(), std::make_move_iterator(withheld_.begin()),
+                    std::make_move_iterator(withheld_.end()));
+        withheld_.clear();
+    }
     for (std::size_t k = 0; k < slot.credits.size(); ++k) {
         if (k + 1 < slot.credits.size()) {
             const auto &nx = slot.credits[k + 1];
-            if (nx.wire < niCreditBase_)
-                __builtin_prefetch(
-                    &routers_[static_cast<std::size_t>(
-                        routerCreditWires_[nx.wire - routerCreditBase_]
-                            .router)]);
+            if (!(nx.wire & kNiWire))
+                __builtin_prefetch(&routers_[static_cast<std::size_t>(
+                    routerCreditWires_[nx.wire].router)]);
         }
         const auto &ev = slot.credits[k];
-        if (ev.wire < niCreditBase_) {
-            const auto &w =
-                routerCreditWires_[ev.wire - routerCreditBase_];
-            routers_[static_cast<std::size_t>(w.router)].creditArrived(
-                w.port, ev.c.vc);
-        } else {
-            const auto &w = niCreditWires_[ev.wire - niCreditBase_];
+        if (ev.wire & kNiWire) {
+            const auto &w = niCreditWires_[ev.wire & ~kNiWire];
             nis_[static_cast<std::size_t>(w.ni)]->creditArrived(w.buf,
                                                                 ev.c.vc);
+        } else {
+            const auto &w = routerCreditWires_[ev.wire];
+            routers_[static_cast<std::size_t>(w.router)].creditArrived(
+                w.port, ev.c.vc);
         }
     }
     slot.credits.clear();
@@ -758,11 +689,8 @@ Network::drained() const
     for (const auto &ni : nis_)
         if (!ni->idle())
             return false;
-    for (const auto &c : flitChans_)
-        if (!c.empty())
-            return false;
     for (const auto &slot : pendingWheel_)
-        if (!slot.flits.empty()) // pass-through in-flight flits
+        if (!slot.flits.empty()) // flits in flight on a wire
             return false;
     // A pending recovery event (ack, reconciliation credit, mask) is
     // as real as a buffered flit.

@@ -63,7 +63,7 @@ struct NetworkSpec
  * component; activeSetsConsistent() and Router::pipelineStateConsistent()
  * check the sets against that predicate.
  */
-class Network : private ChannelScheduler, private FaultPlaneHost
+class Network : private FaultPlaneHost
 {
   public:
     explicit Network(const NetworkSpec &spec);
@@ -167,14 +167,6 @@ class Network : private ChannelScheduler, private FaultPlaneHost
   private:
     void internalTick();
     void deliver();
-    void deliverWire(std::uint32_t wire);
-
-    /** ChannelScheduler: record a pending arrival for a wire. */
-    void channelDue(std::uint32_t tag, Cycle due) override;
-    /** (Re-)attach every channel to the wheel. Pass-through is used
-     *  except when faults are armed: the fault plane needs flits to
-     *  accumulate *inside* stalled channels. */
-    void attachChannels(bool passthrough);
 
     // FaultPlaneHost: out-of-band recovery events land on the NIs. No
     // activation is needed — an NI with protocol state in flight is
@@ -219,10 +211,13 @@ class Network : private ChannelScheduler, private FaultPlaneHost
     std::deque<Channel<Flit>> flitChans_;
     std::deque<Channel<Credit>> creditChans_;
 
-    struct RouterFlitWire { Channel<Flit> *chan; int router; int port; };
-    struct NiFlitWire { Channel<Flit> *chan; int ni; int ejPort; };
-    struct RouterCreditWire { Channel<Credit> *chan; int router; int port; };
-    struct NiCreditWire { Channel<Credit> *chan; int ni; int buf; };
+    /** Wire tags index these tables: router-bound tags are the plain
+     *  index, NI-bound tags carry kNiWire on top of theirs. */
+    static constexpr std::uint32_t kNiWire = std::uint32_t{1} << 31;
+    struct RouterFlitWire { int router; int port; };
+    struct NiFlitWire { int ni; int ejPort; };
+    struct RouterCreditWire { int router; int port; };
+    struct NiCreditWire { int ni; int buf; };
 
     std::vector<RouterFlitWire> routerFlitWires_;
     std::vector<NiFlitWire> niFlitWires_;
@@ -260,30 +255,18 @@ class Network : private ChannelScheduler, private FaultPlaneHost
     std::vector<std::uint64_t> activeNis_;
 
     /**
-     * Pending-wire event wheel: slot (tick % size) holds what arrives
-     * that tick. Channels post one event per send (they carry at most
-     * one item per tick), so idle wires are never visited. Wire ids
-     * index the four wire vectors: the flat order is [routerFlit |
-     * niFlit | routerCredit | niCredit].
-     *
-     * Un-faulted adaptive networks run channels in pass-through mode:
-     * the slot carries the payloads themselves (`flits` / `credits`)
-     * and delivery dispatches straight to acceptFlit()/creditArrived()
-     * without touching a channel object — sends append directly to
-     * the slot (Channel::setWheel), no virtual dispatch. Fault-armed
-     * networks fall back to tag events (`wires`) drained through the
-     * channels, which the plane's stall/drop semantics need. Within
-     * one channel FIFO order is preserved either way, and all
-     * deliveries complete before the stage passes run, so the two
-     * representations are observationally identical (DESIGN.md §14).
-     * Size is a power of two (> max channel latency); slot index is
-     * `due & wheelMask_`.
+     * Pending-wire event wheel: slot (tick & wheelMask_) holds the
+     * flits and credits arriving that tick, appended by Channel::send
+     * in send order; deliver() drains the current slot, so idle wires
+     * are never visited. Size is a power of two greater than the
+     * largest channel latency, so a send never lands in the slot being
+     * delivered.
      */
     std::vector<WheelSlot> pendingWheel_;
     std::uint32_t wheelMask_ = 0;
-    std::uint32_t niFlitBase_ = 0;
-    std::uint32_t routerCreditBase_ = 0;
-    std::uint32_t niCreditBase_ = 0;
+    /** Fault-armed delivery scratch: flits a stalled wire withholds
+     *  this tick, moved to the front of the next slot. */
+    std::vector<FlitWheelEvent> withheld_;
 
     Cycle tick_ = 0;
     Cycle coreCycle_ = 0;

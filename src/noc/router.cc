@@ -92,27 +92,6 @@ Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
 }
 
 void
-Router::setDirectWheel(WheelSlot *slots, std::uint32_t slot_mask)
-{
-    wheelSlots_ = slots;
-    directWheelMask_ = slot_mask;
-    if (!slots)
-        return;
-    for (int po = 0; po < numOutputPorts(); ++po) {
-        eqx_assert(outChan_[po]->latency() <= 127,
-                   "direct-wheel latency cache is byte-wide");
-        outLat_[po] = static_cast<std::int8_t>(outChan_[po]->latency());
-        outTag_[po] = outChan_[po]->tag();
-    }
-    for (int pi = 0; pi < numInputPorts(); ++pi) {
-        if (!creditUp_[pi])
-            continue;
-        crLat_[pi] = static_cast<std::int8_t>(creditUp_[pi]->latency());
-        crTag_[pi] = creditUp_[pi]->tag();
-    }
-}
-
-void
 Router::acceptFlit(int in_port, Flit f, Cycle now)
 {
     eqx_assert(in_port >= 0 && in_port < numInputPorts(),
@@ -596,23 +575,11 @@ Router::switchAllocStage(Cycle now)
         bool tail = f.isTail;
         f.vc = of - po * v;
         eqx_assert(outChan_[po], "output port without a channel");
-        if (wheelSlots_) {
-            wheelSlots_[(now + static_cast<Cycle>(outLat_[po])) &
-                        directWheelMask_]
-                .flits.push_back({outTag_[po], std::move(f)});
-        } else {
-            outChan_[po]->send(std::move(f), now);
-        }
+        outChan_[po]->send(std::move(f), now);
 
         // Return a credit for the freed input slot.
         if (creditUp_[pi]) {
-            if (wheelSlots_) {
-                wheelSlots_[(now + static_cast<Cycle>(crLat_[pi])) &
-                            directWheelMask_]
-                    .credits.push_back({crTag_[pi], Credit{pi, vi}});
-            } else {
-                creditUp_[pi]->send(Credit{pi, vi}, now);
-            }
+            creditUp_[pi]->send(Credit{pi, vi}, now);
             ++activity_->creditsSent;
         }
 

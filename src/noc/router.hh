@@ -146,20 +146,6 @@ class Router
     }
 
     /**
-     * Pass-through fast path (DESIGN.md §14): cache every attached
-     * channel's wheel-push parameters (slot base, latency, wire tag)
-     * so SA flit sends and credit returns append straight to the
-     * network's wheel slot instead of chasing through the channel
-     * objects. The skipped Channel::send bookkeeping is provably
-     * redundant here: SA grants at most one flit per output port and
-     * one credit per input port per tick, so the one-send-per-tick
-     * invariant holds by construction. Passing @p slots == nullptr
-     * reverts to Channel::send (store mode, fault-armed networks).
-     * Must be called after the network (re)tags the channels.
-     */
-    void setDirectWheel(WheelSlot *slots, std::uint32_t slot_mask);
-
-    /**
      * One internal tick of the pipeline: the single statement of stage
      * order. SA runs before VA before RC, so each stage consumes what
      * the one after it produced on the previous tick.
@@ -380,15 +366,6 @@ class Router
     std::uint8_t inSaLast_[kMaxInPorts] = {};
     std::uint8_t outSaLast_[kMaxOutPorts] = {};
     std::uint8_t vaLast_[kMaxOutVcs] = {};
-    /** Direct wheel push (setDirectWheel): slot base/mask plus the
-     *  per-port channel latency and wire tag, cached so the send hot
-     *  path is one computed append with no channel-object access. */
-    WheelSlot *wheelSlots_ = nullptr;
-    std::uint32_t directWheelMask_ = 0;
-    std::uint32_t outTag_[kMaxOutPorts] = {};
-    std::uint32_t crTag_[kMaxInPorts] = {};
-    std::int8_t outLat_[kMaxOutPorts] = {};
-    std::int8_t crLat_[kMaxInPorts] = {};
 
     /** Geo direction -> output port (-1 when absent). */
     std::int8_t dirPort_[4] = {-1, -1, -1, -1};

@@ -188,7 +188,7 @@ TEST(Activity, PipelineStateConsistent_ClassVcsNoParking)
 TEST(Activity, PipelineStateConsistent_Loaded16x16)
 {
     // The tentpole regime: a big mesh at high injection, SA/VA
-    // saturated, direct-wheel sends active.
+    // saturated.
     expectPipelineConsistent(meshSpec(16, 16), 0.12, 400);
 }
 

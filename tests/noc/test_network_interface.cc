@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "noc/network_interface.hh"
+#include "test_wheel.hh"
 
 namespace eqx {
 namespace {
@@ -44,7 +45,8 @@ class EquiNoxNiTest : public ::testing::Test
         // Buffer 0: local; buffers 1..4: E(5,3), W(1,3), S(3,5), N(3,1).
         chans.reserve(5);
         for (int i = 0; i < 5; ++i)
-            chans.push_back(std::make_unique<Channel<Flit>>(1));
+            chans.push_back(std::make_unique<Channel<Flit>>(
+                wheel.channel<Flit>(1, static_cast<std::uint32_t>(i))));
         ni->addInjBuffer(1, chans[0].get(), cb, false);
         ni->addInjBuffer(1, chans[1].get(), topo->node({5, 3}), true);
         ni->addInjBuffer(1, chans[2].get(), topo->node({1, 3}), true);
@@ -64,6 +66,7 @@ class EquiNoxNiTest : public ::testing::Test
     NetworkActivity activity;
     LatencyStats latency;
     std::unique_ptr<const Topology> topo;
+    TestWheel wheel;
     std::vector<std::unique_ptr<Channel<Flit>>> chans;
     std::unique_ptr<ExposedNi<EquiNoxNi>> ni;
 };
@@ -129,7 +132,8 @@ TEST(BasicNiTest, SingleBufferUntilFull)
     NetworkActivity act;
     LatencyStats lat;
     ExposedNi<BasicNi> ni(0, &topo, &params, &act, &lat);
-    Channel<Flit> ch(1);
+    TestWheel wheel;
+    auto ch = wheel.channel<Flit>(1, 0);
     ni.addInjBuffer(1, &ch, 0, false);
     auto pkt = makePacket(PacketType::ReadRequest, 0, 5, 128);
     EXPECT_EQ(ni.selectBuffer(pkt), 0);
@@ -144,9 +148,11 @@ TEST(MultiPortNiTest, RoundRobinSkipsFullBuffers)
     NetworkActivity act;
     LatencyStats lat;
     ExposedNi<MultiPortNi> ni(0, &topo, &params, &act, &lat);
+    TestWheel wheel;
     std::vector<std::unique_ptr<Channel<Flit>>> chans;
     for (int i = 0; i < 3; ++i) {
-        chans.push_back(std::make_unique<Channel<Flit>>(1));
+        chans.push_back(std::make_unique<Channel<Flit>>(
+            wheel.channel<Flit>(1, static_cast<std::uint32_t>(i))));
         ni.addInjBuffer(1, chans.back().get(), 0, false);
     }
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640);
@@ -200,9 +206,11 @@ TEST(MultiPortNiTest, RoundRobinFairUnderPermanentlyFullBuffer)
     NetworkActivity act;
     LatencyStats lat;
     ExposedNi<MultiPortNi> ni(0, &topo, &params, &act, &lat);
+    TestWheel wheel;
     std::vector<std::unique_ptr<Channel<Flit>>> chans;
     for (int i = 0; i < 3; ++i) {
-        chans.push_back(std::make_unique<Channel<Flit>>(1));
+        chans.push_back(std::make_unique<Channel<Flit>>(
+            wheel.channel<Flit>(1, static_cast<std::uint32_t>(i))));
         ni.addInjBuffer(1, chans.back().get(), 0, false);
     }
     ni.occupy(0); // buffer 0 full for the whole test
@@ -294,7 +302,8 @@ TEST(NiInjection, PerBufferLoadCountersTrackInjection)
     NetworkActivity act;
     LatencyStats lat;
     BasicNi ni(0, &topo, &params, &act, &lat);
-    Channel<Flit> ch(1);
+    TestWheel wheel;
+    auto ch = wheel.channel<Flit>(1, 0);
     ni.addInjBuffer(1, &ch, 0, false);
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 0));
@@ -318,7 +327,8 @@ TEST(NiInjection, CreditStallTicksCountStarvation)
     NetworkActivity act;
     LatencyStats lat;
     BasicNi ni(0, &topo, &params, &act, &lat);
-    Channel<Flit> ch(1);
+    TestWheel wheel;
+    auto ch = wheel.channel<Flit>(1, 0);
     ni.addInjBuffer(1, &ch, 0, false);
     // 640 bits = 5 flits but only 2 credits and nobody returns them:
     // after the buffer drains its credits, every further tick stalls.
@@ -338,7 +348,8 @@ TEST(NiInjection, SerializesAndStampsPacket)
     NetworkActivity act;
     LatencyStats lat;
     BasicNi ni(0, &topo, &params, &act, &lat);
-    Channel<Flit> ch(1);
+    TestWheel wheel;
+    auto ch = wheel.channel<Flit>(1, 0);
     ni.addInjBuffer(1, &ch, 0, false);
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 10));
@@ -346,18 +357,10 @@ TEST(NiInjection, SerializesAndStampsPacket)
     for (int i = 0; i < 10; ++i)
         ni.tick(++t, t);
     // 5 flits must have been sent, head first.
-    int n = 0;
-    Flit f;
-    bool saw_head = false, saw_tail = false;
-    while (ch.receive(t + 1, f)) {
-        if (n == 0)
-            saw_head = f.isHead;
-        saw_tail = f.isTail;
-        ++n;
-    }
-    EXPECT_EQ(n, 5);
-    EXPECT_TRUE(saw_head);
-    EXPECT_TRUE(saw_tail);
+    auto flits = wheel.take<Flit>(0, t + 1);
+    ASSERT_EQ(flits.size(), 5u);
+    EXPECT_TRUE(flits.front().isHead);
+    EXPECT_TRUE(flits.back().isTail);
     EXPECT_GE(pkt->cycleInjected, 10u);
     EXPECT_EQ(pkt->entryRouter, 0);
     EXPECT_EQ(act.replyBits, 640u);
@@ -371,7 +374,8 @@ TEST(NiInjection, CoreQueueCapacityBounds)
     NetworkActivity act;
     LatencyStats lat;
     BasicNi ni(0, &topo, &params, &act, &lat);
-    Channel<Flit> ch(1);
+    TestWheel wheel;
+    auto ch = wheel.channel<Flit>(1, 0);
     ni.addInjBuffer(1, &ch, 0, false);
     auto mk = [] {
         return makePacket(PacketType::ReadRequest, 0, 5, 128);

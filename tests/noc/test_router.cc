@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "noc/router.hh"
+#include "test_wheel.hh"
 
 namespace eqx {
 namespace {
@@ -24,9 +25,12 @@ class RouterHarness : public ::testing::Test
         topo = makeTopology(3, 3);
         router = std::make_unique<Router>(4 /*centre (1,1)*/, topo.get(),
                                           &params, &activity);
-        inCredit = std::make_unique<Channel<Credit>>(1);
-        outFlits = std::make_unique<Channel<Flit>>(1);
-        ejFlits = std::make_unique<Channel<Flit>>(1);
+        inCredit = std::make_unique<Channel<Credit>>(
+            wheel.channel<Credit>(1, kInCredit));
+        outFlits = std::make_unique<Channel<Flit>>(
+            wheel.channel<Flit>(1, kOutFlits));
+        ejFlits = std::make_unique<Channel<Flit>>(
+            wheel.channel<Flit>(1, kEjFlits));
         inPort = router->addInputPort(PortKind::Geo, Dir::West,
                                       inCredit.get());
         outPort = router->addOutputPort(PortKind::Geo, Dir::East,
@@ -84,19 +88,20 @@ class RouterHarness : public ::testing::Test
         sendPacket(5, 1, depth); // escape VC 1 -> out VC 1
         for (int i = 0; i < 2 * depth + 2; ++i)
             tick();
-        ASSERT_EQ(drainOut(*outFlits), 2 * depth);
+        ASSERT_EQ(drainOut(), 2 * depth);
     }
 
+    /** Flits the East output has delivered downstream so far. */
     int
-    drainOut(Channel<Flit> &ch)
+    drainOut()
     {
-        Flit f;
-        int n = 0;
-        while (ch.receive(now + 2, f))
-            ++n;
-        return n;
+        return static_cast<int>(wheel.take<Flit>(kOutFlits, now + 2).size());
     }
 
+    /** Wire tags on the harness wheel. */
+    static constexpr std::uint32_t kInCredit = 0, kOutFlits = 0,
+                                   kEjFlits = 1;
+    TestWheel wheel;
     NocParams params;
     NetworkActivity activity;
     std::unique_ptr<const Topology> topo;
@@ -132,7 +137,7 @@ TEST_F(RouterHarness, FullPipelineTraversesInThreeTicks)
     tick(); // VA
     EXPECT_EQ(inVc(0).state, VcState::Active);
     tick(); // SA + ST: flit on the output channel
-    EXPECT_EQ(drainOut(*outFlits), 1);
+    EXPECT_EQ(drainOut(), 1);
     EXPECT_EQ(inVc(0).state, VcState::Idle); // tail released it
     EXPECT_EQ(router->flitsForwarded(), 1u);
 }
@@ -143,9 +148,9 @@ TEST_F(RouterHarness, CreditReturnedUpstreamOnTraversal)
     tick();
     tick();
     tick();
-    Credit c;
-    ASSERT_TRUE(inCredit->receive(now + 2, c));
-    EXPECT_EQ(c.vc, 0);
+    auto credits = wheel.take<Credit>(kInCredit, now + 2);
+    ASSERT_EQ(credits.size(), 1u);
+    EXPECT_EQ(credits[0].vc, 0);
 }
 
 TEST_F(RouterHarness, AtomicVcSecondPacketWaitsForDownstreamDrain)
@@ -162,7 +167,7 @@ TEST_F(RouterHarness, AtomicVcSecondPacketWaitsForDownstreamDrain)
     int sent = 0;
     for (int i = 0; i < 20 && sent < 6; ++i) {
         tick();
-        sent += drainOut(*outFlits);
+        sent += drainOut();
     }
     EXPECT_EQ(sent, 6); // both packets eventually traverse
 
@@ -191,12 +196,12 @@ TEST_F(RouterHarness, NoCreditsNoTraversal)
     sendPacket(5, 1, 5);
     for (int i = 0; i < 12; ++i)
         tick();
-    EXPECT_EQ(drainOut(*outFlits), 10);
+    EXPECT_EQ(drainOut(), 10);
 
     sendPacket(5, 0, 5);
     for (int i = 0; i < 12; ++i)
         tick();
-    EXPECT_EQ(drainOut(*outFlits), 0); // fully out of credits
+    EXPECT_EQ(drainOut(), 0); // fully out of credits
     EXPECT_EQ(inVc(0).state, VcState::RouteComputed); // VA stalled
 
     // Return credits on VC 0: traffic resumes.
@@ -204,7 +209,7 @@ TEST_F(RouterHarness, NoCreditsNoTraversal)
         router->creditArrived(outPort, 0);
     for (int i = 0; i < 12; ++i)
         tick();
-    EXPECT_EQ(drainOut(*outFlits), 5);
+    EXPECT_EQ(drainOut(), 5);
 }
 
 TEST_F(RouterHarness, EscapeVcSticksToEscapeAndXy)
@@ -227,7 +232,7 @@ TEST_F(RouterHarness, AdaptivePacketFallsIntoEscapeWhenBlocked)
     sendPacket(5, 0, 5);
     for (int i = 0; i < 10; ++i)
         tick();
-    drainOut(*outFlits);
+    drainOut();
     // Adaptive VC 0 downstream is now full and still busy; next packet
     // in adaptive input VC 0 must fall into the escape VC 1.
     sendPacket(5, 0, 1);
@@ -254,7 +259,7 @@ TEST_F(RouterHarness, HasBufferedFlitsReflectsOccupancy)
     EXPECT_TRUE(router->hasBufferedFlits());
     for (int i = 0; i < 5; ++i)
         tick();
-    drainOut(*outFlits);
+    drainOut();
     EXPECT_FALSE(router->hasBufferedFlits());
 }
 
