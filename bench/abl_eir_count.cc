@@ -16,25 +16,21 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig base;
+    applyMatrixKnobs(base, cfg, 0.15, 2);
+    applyRunnerKnobs(base, cfg, false);
+    cfg.rejectUnused();
+
     printHeader("abl_eir_count: EIRs per group / MultiPort ports",
                 "EquiNox (HPCA'20) Section 3.2.1 trade-off");
 
-    std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    double scale = cfg.getDouble("scale", 0.15);
-    std::size_t nbench =
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 2));
     auto exec = [](const RunResult &r) { return r.execNs; };
-
-    ExperimentConfig base;
-    base.seed = seed;
-    base.instScale = scale;
-    base.workloads = workloadSubset(nbench);
-    applySweepArgs(base, cfg);
-    base.schemes = {"SeparateBase"}; // fixed: the ablation baseline
-    base.jsonlPath.clear(); // per-point runners would clobber one file
-    ExperimentRunner base_runner(base);
+    ExperimentConfig sep_ec = base;
+    sep_ec.schemes = {"SeparateBase"}; // fixed: the ablation baseline
+    sep_ec.jsonlPath.clear(); // per-point runners would clobber one file
+    ExperimentRunner base_runner(sep_ec);
     double sep = schemeGeomean(base_runner.runMatrix(),
                                "SeparateBase", exec);
 
@@ -44,16 +40,12 @@ main(int argc, char **argv)
                 "exec");
     for (int cap : {1, 2, 3, 4, 6}) {
         DesignParams dp;
-        dp.seed = seed;
+        dp.seed = base.seed;
         dp.maxPerGroup = cap;
         EquiNoxDesign design = buildEquiNoxDesign(dp);
 
-        ExperimentConfig ec;
-        ec.seed = seed;
-        ec.instScale = scale;
-        ec.workloads = workloadSubset(nbench);
+        ExperimentConfig ec = base;
         ec.tweak = [&](SystemConfig &sc) { sc.preDesign = &design; };
-        applySweepArgs(ec, cfg);
         ec.schemes = {"EquiNox"};
         if (!ec.jsonlPath.empty())
             ec.jsonlPath += ".cap" + std::to_string(cap);
@@ -67,14 +59,10 @@ main(int argc, char **argv)
     std::printf("\nMultiPort injection-port sweep (same metric):\n");
     std::printf("%10s %12s\n", "ports", "exec");
     for (int ports : {2, 4, 6}) {
-        ExperimentConfig ec;
-        ec.seed = seed;
-        ec.instScale = scale;
-        ec.workloads = workloadSubset(nbench);
+        ExperimentConfig ec = base;
         ec.tweak = [&](SystemConfig &sc) {
             sc.multiPortInjPorts = ports;
         };
-        applySweepArgs(ec, cfg);
         ec.schemes = {"MultiPort"};
         if (!ec.jsonlPath.empty())
             ec.jsonlPath += ".ports" + std::to_string(ports);
@@ -84,4 +72,6 @@ main(int argc, char **argv)
         std::printf("%10d %12.3f\n", ports, mp / sep);
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -16,25 +16,21 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig base;
+    applyMatrixKnobs(base, cfg, 0.15, 2);
+    applyRunnerKnobs(base, cfg, false);
+    cfg.rejectUnused();
+
     printHeader("abl_eir_radius: EIR distance window sweep",
                 "EquiNox (HPCA'20) Section 4.3 (2-hop observation)");
 
-    std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    double scale = cfg.getDouble("scale", 0.15);
-    std::size_t nbench =
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 2));
-
     // Baseline: SeparateBase execution time.
-    ExperimentConfig base;
-    base.seed = seed;
-    base.instScale = scale;
-    base.workloads = workloadSubset(nbench);
-    applySweepArgs(base, cfg);
-    base.schemes = {"SeparateBase"}; // fixed: the ablation baseline
-    base.jsonlPath.clear(); // per-point runners would clobber one file
-    ExperimentRunner base_runner(base);
+    ExperimentConfig sep_ec = base;
+    sep_ec.schemes = {"SeparateBase"}; // fixed: the ablation baseline
+    sep_ec.jsonlPath.clear(); // per-point runners would clobber one file
+    ExperimentRunner base_runner(sep_ec);
     auto base_cells = base_runner.runMatrix();
     auto exec = [](const RunResult &r) { return r.execNs; };
     double sep = schemeGeomean(base_cells, "SeparateBase", exec);
@@ -44,16 +40,12 @@ main(int argc, char **argv)
                 "designScore");
     for (int radius : {2, 3, 4}) {
         DesignParams dp;
-        dp.seed = seed;
+        dp.seed = base.seed;
         dp.maxHops = radius;
         EquiNoxDesign design = buildEquiNoxDesign(dp);
 
-        ExperimentConfig ec;
-        ec.seed = seed;
-        ec.instScale = scale;
-        ec.workloads = workloadSubset(nbench);
+        ExperimentConfig ec = base;
         ec.tweak = [&](SystemConfig &sc) { sc.preDesign = &design; };
-        applySweepArgs(ec, cfg);
         ec.schemes = {"EquiNox"};
         if (!ec.jsonlPath.empty())
             ec.jsonlPath += ".hops" + std::to_string(radius);
@@ -70,4 +62,6 @@ main(int argc, char **argv)
     std::printf("\n(the 2-hop window should match or beat larger "
                 "windows, without repeaters)\n");
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

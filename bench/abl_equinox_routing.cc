@@ -18,19 +18,17 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("abl_equinox_routing: EquiNox reply-routing ablation",
-                "EquiNox (HPCA'20) Section 5 (routing sensitivity)");
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     ExperimentConfig ec;
-    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    ec.instScale = cfg.getDouble("scale", 0.15);
-    ec.workloads = workloadSubset(
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 2)));
-    applySweepArgs(ec, cfg);
+    applyMatrixKnobs(ec, cfg, 0.15, 2);
     // Fixed rows: the ablation contrasts exactly these three.
     ec.schemes = {"SeparateBase", "EquiNox", "EquiNox-XY"};
+    applyRunnerKnobs(ec, cfg, false);
+    cfg.rejectUnused();
+
+    printHeader("abl_equinox_routing: EquiNox reply-routing ablation",
+                "EquiNox (HPCA'20) Section 5 (routing sensitivity)");
 
     ExperimentRunner runner(ec);
     auto cells = runner.runMatrix();
@@ -62,4 +60,6 @@ main(int argc, char **argv)
     if (ec.collectMetrics)
         printMetricsDigest(cells, ec.schemes);
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -13,8 +13,9 @@
  * mode=eirkill   one permanent interposer-link kill on the reply
  *                network (CI asserts degraded-but-complete delivery)
  *
- * Extra knobs: the shared sweep + fault arguments (bench_util.hh),
- * plus kill_tick=<n> for the eirkill arming time.
+ * Knobs: seed=, scale=, benchmarks=, mode=, scheme=, the runner and
+ * fault knobs (src/sweep/knobs.hh), plus kill_tick=<n> for the
+ * eirkill arming time.
  */
 
 #include <algorithm>
@@ -71,45 +72,32 @@ printPoint(const char *label, const std::vector<std::string> &schemes,
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig point;
+    applyMatrixKnobs(point, cfg, 0.1, 2);
+    point.schemes = parseSchemeKnob(cfg, {"SeparateBase", "EquiNox"});
+    applyRunnerKnobs(point, cfg, false);
+    // A permanently faulted run must still terminate promptly.
+    point.tweak = [](SystemConfig &sc) { sc.maxCycles = 400'000; };
+    std::string mode = cfg.getString("mode", "grid");
+    Cycle kill_tick = static_cast<Cycle>(cfg.getInt("kill_tick", 500));
+    FaultConfig base;
+    applyFaultKnobs(base, cfg);
+    cfg.rejectUnused();
+
     printHeader("abl_fault_resilience: NoC fault injection + recovery",
                 "EquiNox (HPCA'20) injection redundancy, DESIGN.md §11");
 
-    std::uint64_t seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    double scale = cfg.getDouble("scale", 0.1);
-    std::size_t nbench =
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 2));
-    std::string mode = cfg.getString("mode", "grid");
-    Cycle kill_tick = static_cast<Cycle>(cfg.getInt("kill_tick", 500));
-    std::string jsonl_base = cfg.getString("jsonl", "");
-
-    std::vector<std::string> schemes = {"SeparateBase", "EquiNox"};
-    if (cfg.has("scheme"))
-        schemes = parseSchemeList(cfg.getString("scheme"));
-
     auto runPoint = [&](const char *label, const FaultConfig &fc,
                         const std::string &jsonl_suffix) {
-        ExperimentConfig ec;
-        ec.seed = seed;
-        ec.instScale = scale;
-        ec.workloads = workloadSubset(nbench);
-        applySweepArgs(ec, cfg);
-        ec.schemes = schemes;
+        ExperimentConfig ec = point;
         ec.fault = fc;
-        // A permanently faulted run must still terminate promptly.
-        ec.tweak = [](SystemConfig &sc) { sc.maxCycles = 400'000; };
-        if (!jsonl_base.empty())
-            ec.jsonlPath = jsonl_base + jsonl_suffix;
-        else
-            ec.jsonlPath.clear();
+        if (!ec.jsonlPath.empty())
+            ec.jsonlPath += jsonl_suffix;
         ExperimentRunner runner(ec);
-        printPoint(label, schemes, runner.runMatrix());
+        printPoint(label, ec.schemes, runner.runMatrix());
     };
-
-    FaultConfig base;
-    applyFaultArgs(base, cfg);
 
     std::printf("\n%-14s %-14s %9s %9s %8s %6s %6s %10s %4s\n",
                 "point", "scheme", "deliv", "retx/pkt", "worms",
@@ -159,4 +147,6 @@ main(int argc, char **argv)
         runPoint("eir-kill", fc, ".eirkill");
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

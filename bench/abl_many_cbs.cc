@@ -45,12 +45,15 @@ randomPlacement(int n, int count, Rng &rng)
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnused();
+
     printHeader("abl_many_cbs: more CBs than N (knight-move placement)",
                 "EquiNox (HPCA'20) Section 6.8");
 
-    Rng rng(static_cast<std::uint64_t>(cfg.getInt("seed", 1)));
+    Rng rng(seed);
     std::printf("\nhot-zone penalty on an 8x8 mesh:\n");
     std::printf("%8s %12s %12s %12s\n", "#CBs", "knight", "row-major",
                 "random");
@@ -64,7 +67,7 @@ main(int argc, char **argv)
     std::printf("\nfull design flow with 10 CBs (knight placement):\n");
     DesignParams dp;
     dp.numCbs = 10;
-    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    dp.seed = seed;
     EquiNoxDesign d = buildEquiNoxDesign(dp);
     std::printf("%s", d.ascii().c_str());
     std::printf("eirs=%d crossings=%d layers=%d penalty=%d "
@@ -72,4 +75,6 @@ main(int argc, char **argv)
                 d.numEirs(), d.rdl.crossings, d.rdl.layersNeeded,
                 d.placementPenalty, d.eval.score);
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

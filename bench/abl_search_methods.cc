@@ -49,13 +49,17 @@ struct MethodRow
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("abl_search_methods: MCTS vs GA/SA/greedy/random",
-                "EquiNox (HPCA'20) Section 4.3 discussion");
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     std::string jsonl = cfg.getString("jsonl", "");
+    MctsParams mp;
+    mp.seed = seed;
+    mp.iterationsPerLevel = static_cast<int>(cfg.getInt("iters", 600));
+    cfg.rejectUnused();
+
+    printHeader("abl_search_methods: MCTS vs GA/SA/greedy/random",
+                "EquiNox (HPCA'20) Section 4.3 discussion");
     Rng rng(seed);
     auto placement = bestNQueenPlacement(8, 8, rng);
     EirProblem prob(8, 8, placement.cbs, 3, 4);
@@ -94,9 +98,6 @@ main(int argc, char **argv)
                std::chrono::duration<double>(t1 - t0).count() * 1e3);
     };
 
-    MctsParams mp;
-    mp.seed = seed;
-    mp.iterationsPerLevel = static_cast<int>(cfg.getInt("iters", 600));
     timed([&] { return mctsSearch(prob, eval, mp); });
     timed([&] { return greedySearch(prob, eval, 2048); });
     timed([&] { return randomSearch(prob, eval, 4000, seed); });
@@ -176,4 +177,6 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", jsonl.c_str());
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

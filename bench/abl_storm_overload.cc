@@ -11,8 +11,9 @@
  * mode=smoke  one flash-crowd point (CI asserts the storm columns are
  *             populated and deterministic across two runs)
  *
- * Knobs: the shared sweep/traffic/fault arguments (bench_util.hh),
- * plus trace_file=<path> for the round-trip scratch trace.
+ * Knobs: seed=, scale=, mode=, scheme=, the runner, traffic and fault
+ * knobs (src/sweep/knobs.hh), plus trace_file=<path> for the
+ * round-trip scratch trace.
  */
 
 #include <cstdio>
@@ -66,45 +67,39 @@ printStormPoint(const char *label, const std::vector<std::string> &schemes,
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("abl_storm_overload: open-loop storms, replay, coherence",
-                "EquiNox (HPCA'20) under overload, DESIGN.md §16");
-
-    std::uint64_t seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    double scale = cfg.getDouble("scale", 0.1);
-    std::string mode = cfg.getString("mode", "grid");
-    std::string trace_file =
-        cfg.getString("trace_file", "abl_storm_trace.json");
-    std::string jsonl_base = cfg.getString("jsonl", "");
-
-    std::vector<std::string> schemes = {"SeparateBase", "EquiNox"};
-    if (cfg.has("scheme"))
-        schemes = parseSchemeList(cfg.getString("scheme"));
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     // Baseline config shared by every point. Storm cells ignore the
     // workload profile (the PEs are replaced), but the matrix still
     // names its rows after one.
-    auto makeBase = [&](const std::string &jsonl_suffix) {
-        ExperimentConfig ec;
-        ec.seed = seed;
-        ec.instScale = scale;
-        ec.workloads = workloadSubset(1);
-        applySweepArgs(ec, cfg);
-        ec.schemes = schemes;
-        if (!jsonl_base.empty())
-            ec.jsonlPath = jsonl_base + jsonl_suffix;
-        else
-            ec.jsonlPath.clear();
-        // The horizon bounds the run; keep a generous drain margin.
-        ec.tweak = [](SystemConfig &sc) { sc.maxCycles = 400'000; };
-        return ec;
-    };
-    TrafficConfig user_tc;
-    applyTrafficArgs(user_tc, cfg);
+    ExperimentConfig base;
+    base.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    base.instScale = parseScaleKnob(cfg, 0.1);
+    base.workloads = workloadSubset(1);
+    base.schemes = parseSchemeKnob(cfg, {"SeparateBase", "EquiNox"});
+    applyRunnerKnobs(base, cfg, false);
+    // The horizon bounds the run; keep a generous drain margin.
+    base.tweak = [](SystemConfig &sc) { sc.maxCycles = 400'000; };
+    std::string mode = cfg.getString("mode", "grid");
+    std::string trace_file =
+        cfg.getString("trace_file", "abl_storm_trace.json");
+    TrafficConfig user_tc = base.traffic;
     if (!cfg.has("storm_horizon"))
         user_tc.stormHorizon = 20'000; // bench-speed default
+    FaultConfig user_fc;
+    applyFaultKnobs(user_fc, cfg);
+    cfg.rejectUnused();
+
+    printHeader("abl_storm_overload: open-loop storms, replay, coherence",
+                "EquiNox (HPCA'20) under overload, DESIGN.md §16");
+
+    const std::vector<std::string> &schemes = base.schemes;
+    auto makeBase = [&](const std::string &jsonl_suffix) {
+        ExperimentConfig ec = base;
+        if (!ec.jsonlPath.empty())
+            ec.jsonlPath += jsonl_suffix;
+        return ec;
+    };
 
     std::printf("\n%-16s %-14s %9s %9s %9s %8s %7s %4s %10s %4s\n",
                 "point", "scheme", "offered", "injected", "delivered",
@@ -150,7 +145,7 @@ main(int argc, char **argv)
         ec.traffic = user_tc;
         ec.traffic.model = "storm-flash";
         ec.traffic.stormRatePerK = 64.0;
-        applyFaultArgs(ec.fault, cfg);
+        ec.fault = user_fc;
         if (ec.fault.ratePerKTick <= 0)
             ec.fault.ratePerKTick = 4;
         ec.fault.kinds = kTransientFaultKinds;
@@ -204,4 +199,6 @@ main(int argc, char **argv)
                         c.result.completed ? "yes" : "NO");
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -19,14 +19,15 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("fig04_placement_heatmap: CB placement heat maps",
-                "EquiNox (HPCA'20) Figure 4");
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     double rate = cfg.getDouble("rate", 0.22);
     Cycle measure = static_cast<Cycle>(cfg.getInt("cycles", 12000));
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnused();
+
+    printHeader("fig04_placement_heatmap: CB placement heat maps",
+                "EquiNox (HPCA'20) Figure 4");
 
     struct Entry
     {
@@ -74,4 +75,6 @@ main(int argc, char **argv)
                     100.0 * (1.0 - nq_var / diamond_var),
                     100.0 * (1.0 - nq_var / top_var));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

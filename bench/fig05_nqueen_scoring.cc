@@ -19,8 +19,11 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    Rng rng(static_cast<std::uint64_t>(cfg.getInt("seed", 1)));
+    cfg.rejectUnused();
+
     printHeader("fig05_nqueen_scoring: N-Queen placement scoring",
                 "EquiNox (HPCA'20) Figure 5 / Section 4.2");
 
@@ -61,11 +64,12 @@ main(int argc, char **argv)
                 tilePenalty(map, {3, 3}));
 
     // Larger boards: sampled solutions.
-    Rng rng(static_cast<std::uint64_t>(cfg.getInt("seed", 1)));
     for (int n : {12, 16}) {
         ScoredPlacement sp = bestNQueenPlacement(n, 8, rng, 128);
         std::printf("%dx%d: best sampled N-Queen (8 CBs) penalty = %d\n",
                     n, n, sp.penalty);
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

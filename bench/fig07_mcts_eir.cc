@@ -24,15 +24,18 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("fig07_mcts_eir: MCTS-selected EIR groups",
-                "EquiNox (HPCA'20) Figures 6 and 7");
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     DesignParams dp;
     dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     dp.mcts.iterationsPerLevel =
         static_cast<int>(cfg.getInt("iters", 600));
+    std::string jsonl = cfg.getString("jsonl", "");
+    cfg.rejectUnused();
+
+    printHeader("fig07_mcts_eir: MCTS-selected EIR groups",
+                "EquiNox (HPCA'20) Figures 6 and 7");
+
     auto t0 = std::chrono::steady_clock::now();
     EquiNoxDesign d = buildEquiNoxDesign(dp);
     auto t1 = std::chrono::steady_clock::now();
@@ -92,7 +95,6 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    std::string jsonl = cfg.getString("jsonl", "");
     if (!jsonl.empty()) {
         std::FILE *f = std::fopen(jsonl.c_str(), "w");
         if (!f) {
@@ -117,4 +119,6 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", jsonl.c_str());
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

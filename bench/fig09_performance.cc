@@ -16,24 +16,24 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig ec;
+    applyMatrixKnobs(ec, cfg, 0.20, 29);
+    ec.verbose = cfg.getBool("verbose", false);
+    ec.schemes = parseSchemeKnob(cfg, ec.schemes);
+    applyRunnerKnobs(ec, cfg, false);
+    SweepOptions so = parseSweepKnobs(cfg);
+    std::string csv = cfg.getString("csv", "");
+    cfg.rejectUnused();
+
     printHeader("fig09_performance: execution time / energy / EDP",
                 "EquiNox (HPCA'20) Figure 9(a)(b)(c)");
 
-    ExperimentConfig ec;
-    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    ec.instScale = cfg.getDouble("scale", 0.20);
-    std::size_t nbench = static_cast<std::size_t>(
-        cfg.getInt("benchmarks", 29));
-    ec.workloads = workloadSubset(nbench);
-    ec.verbose = cfg.getBool("verbose", false);
-    applySweepArgs(ec, cfg);
+    auto cells = runMatrixOrSweep(ec, so);
 
-    auto cells = runMatrixOrSweep(ec, cfg);
-
-    if (cfg.has("csv"))
-        writeCellsCsv(cells, cfg.getString("csv"));
+    if (!csv.empty())
+        writeCellsCsv(cells, csv);
     if (ec.collectMetrics)
         printMetricsDigest(cells, ec.schemes);
 
@@ -75,4 +75,6 @@ main(int argc, char **argv)
     std::printf("EDP vs SeparateBase: 32.8%% -> %.1f%%\n",
                 100.0 * (1.0 - eq_d / sp_d));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

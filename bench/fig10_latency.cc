@@ -17,19 +17,19 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig ec;
+    applyMatrixKnobs(ec, cfg, 0.25, 8);
+    ec.schemes = parseSchemeKnob(cfg, ec.schemes);
+    applyRunnerKnobs(ec, cfg, false);
+    SweepOptions so = parseSweepKnobs(cfg);
+    cfg.rejectUnused();
+
     printHeader("fig10_latency: packet latency decomposition",
                 "EquiNox (HPCA'20) Figure 10");
 
-    ExperimentConfig ec;
-    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    ec.instScale = cfg.getDouble("scale", 0.25);
-    ec.workloads = workloadSubset(
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 8)));
-    applySweepArgs(ec, cfg);
-
-    auto cells = runMatrixOrSweep(ec, cfg);
+    auto cells = runMatrixOrSweep(ec, so);
 
     if (ec.collectMetrics) {
         printMetricsDigest(cells, ec.schemes);
@@ -118,4 +118,6 @@ main(int argc, char **argv)
                     s.c_str(), avg(s, req), avg(s, rep),
                     avg(s, req) > avg(s, rep) ? "[req > rep]" : "");
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

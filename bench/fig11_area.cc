@@ -16,19 +16,20 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    // The paper's seven by default; scheme= swaps in any registered
+    // set (registry keys, e.g. scheme=SeparateBase,EquiNox-XY).
+    std::vector<std::string> schemes =
+        parseSchemeKnob(cfg, paperSchemeNames());
+    std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnused();
+
     printHeader("fig11_area: NoC area comparison",
                 "EquiNox (HPCA'20) Figure 11");
 
     WorkloadProfile wp = workloadByName("kmeans");
     wp.instsPerPe = 8; // construction only; no run
-
-    // The paper's seven by default; scheme= swaps in any registered
-    // set (registry keys, e.g. scheme=SeparateBase,EquiNox-XY).
-    std::vector<std::string> schemes = paperSchemeNames();
-    if (cfg.has("scheme"))
-        schemes = parseSchemeList(cfg.getString("scheme"));
 
     double single = 0, separate = 0, equinox = 0;
     std::printf("\n%-18s %10s %8s\n", "scheme", "area mm^2", "norm");
@@ -36,7 +37,7 @@ main(int argc, char **argv)
     for (const std::string &s : schemes) {
         SystemConfig sc;
         sc.schemeKey = s;
-        sc.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+        sc.seed = seed;
         System sys(sc, wp);
         double a = sys.areaMm2();
         rows.emplace_back(s, a);
@@ -56,4 +57,6 @@ main(int argc, char **argv)
                     "(paper: +4.6%%): %+.1f%%\n",
                     100.0 * (equinox / separate - 1.0));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

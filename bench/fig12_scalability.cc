@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_util.hh"
 #include "sim/experiment.hh"
@@ -16,61 +17,53 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
-    printHeader("fig12_scalability: 8x8 / 12x12 / 16x16",
-                "EquiNox (HPCA'20) Figure 12");
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     // size= accepts a comma list (e.g. size=16,32); the topology
     // variants (scheme=SeparateBase,EquiNox-Torus or
     // SeparateBase,SeparateBase-CMesh) ride the shared scheme= arg —
     // the reply fabric is part of the scheme name, so extending the
     // scalability rows per topology needs no new simulator surface.
-    std::vector<int> sizes = {8, 12, 16};
-    if (cfg.has("size")) {
-        sizes.clear();
-        std::string spec = cfg.getString("size", "");
-        std::size_t start = 0;
-        while (start <= spec.size()) {
-            std::size_t comma = spec.find(',', start);
-            std::string tok = spec.substr(
-                start, comma == std::string::npos ? std::string::npos
-                                                  : comma - start);
-            if (!tok.empty())
-                sizes.push_back(std::atoi(tok.c_str()));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-        if (sizes.empty())
-            eqx_fatal("size= needs at least one mesh side");
+    std::vector<int> sizes;
+    for (const std::string &tok :
+         splitList(cfg.getString("size", "8,12,16"))) {
+        char *end = nullptr;
+        long n = std::strtol(tok.c_str(), &end, 10);
+        if (*end != '\0' || n < 3 || n > 1024)
+            eqx_fatal("knob size=", tok,
+                      " is not a mesh side (want an integer in [3, 1024])");
+        sizes.push_back(static_cast<int>(n));
     }
+    if (sizes.empty())
+        eqx_fatal("size= needs at least one mesh side");
 
-    std::size_t nbench =
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 2));
+    ExperimentConfig base;
+    // Per-PE work is kept constant, so larger meshes carry more total
+    // demand into the same 8 CBs — the intensifying injection
+    // bottleneck the paper's scalability argument rests on.
+    applyMatrixKnobs(base, cfg, 0.15, 2);
+    base.schemes = parseSchemeKnob(cfg, {"SeparateBase", "EquiNox"});
+    base.tweak = [](SystemConfig &sc) {
+        sc.design.mcts.iterationsPerLevel = 300;
+    };
+    applyRunnerKnobs(base, cfg, false);
+    SweepOptions base_so = parseSweepKnobs(cfg);
+    cfg.rejectUnused();
+
+    printHeader("fig12_scalability: 8x8 / 12x12 / 16x16",
+                "EquiNox (HPCA'20) Figure 12");
+
     double paper[3] = {1.23, 1.31, 1.30};
 
     std::printf("\n%8s %14s %14s %10s %10s\n", "mesh", "SepBase IPC",
                 "EquiNox IPC", "speedup", "paper");
     int idx = 0;
     for (int n : sizes) {
-        ExperimentConfig ec;
+        ExperimentConfig ec = base;
         ec.width = ec.height = n;
-        ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-        // Per-PE work is kept constant, so larger meshes carry more
-        // total demand into the same 8 CBs — the intensifying
-        // injection bottleneck the paper's scalability argument rests
-        // on.
-        ec.instScale = cfg.getDouble("scale", 0.15);
-        ec.schemes = {"SeparateBase", "EquiNox"};
-        ec.workloads = workloadSubset(nbench);
-        ec.tweak = [](SystemConfig &sc) {
-            sc.design.mcts.iterationsPerLevel = 300;
-        };
-        applySweepArgs(ec, cfg);
         // One journal per mesh size: the loop would otherwise reopen
         // (and truncate) the same file three times.
-        SweepOptions so = parseFabricArgs(cfg);
+        SweepOptions so = base_so;
         if (!so.journalPath.empty())
             so.journalPath += ".s" + std::to_string(n);
         auto cells = runMatrixOrSweep(ec, so);
@@ -87,4 +80,6 @@ main(int argc, char **argv)
     std::printf("\n(EquiNox speedup should hold or grow with mesh "
                 "size.)\n");
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

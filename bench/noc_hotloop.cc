@@ -106,11 +106,12 @@ loadedKernel(int side, double min_time,
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace eqx;
-    Config cfg = parseBenchArgs(argc, argv);
+    Config cfg = parseCliArgs(argc, argv);
     std::string out = cfg.getString("out", "BENCH_noc_hotloop.json");
     double min_time = cfg.getDouble("min_time", 0.2);
+    cfg.rejectUnused();
 
     printHeader("NoC hot-loop",
                 "activity-driven tick scheduling (DESIGN.md #10)");
@@ -166,4 +167,6 @@ main(int argc, char **argv)
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());
     return 0;
+} catch (const eqx::FatalError &) {
+    return 2;
 }

@@ -184,11 +184,12 @@ mctsKernel(ScaleSetup &s)
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace eqx;
-    Config cfg = parseBenchArgs(argc, argv);
+    Config cfg = parseCliArgs(argc, argv);
     std::string out = cfg.getString("out", "BENCH_search_hotloop.json");
     double min_time = cfg.getDouble("min_time", 0.2);
+    cfg.rejectUnused();
 
     printHeader("search hot-loop before/after",
                 "incremental EIR evaluation (DESIGN.md #15)");
@@ -256,4 +257,6 @@ main(int argc, char **argv)
     if (sink == -1)
         std::printf("%f\n", sink); // keep the kernels un-elided
     return 0;
+} catch (const eqx::FatalError &) {
+    return 2;
 }

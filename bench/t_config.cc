@@ -14,8 +14,8 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    (void)parseBenchArgs(argc, argv);
+try {
+    parseCliArgs(argc, argv).rejectUnused();
     printHeader("t_config: key simulation parameters",
                 "EquiNox (HPCA'20) Table 1");
 
@@ -55,4 +55,6 @@ main(int argc, char **argv)
                 "(Rodinia + CUDA SDK names)\n",
                 "Benchmarks", "29 (Rodinia + CUDA SDK)");
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -14,18 +14,16 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    ExperimentConfig ec;
+    applyMatrixKnobs(ec, cfg, 0.2, 12);
+    ec.schemes = {"SeparateBase"};
+    applyTrafficKnobs(ec.traffic, cfg);
+    cfg.rejectUnused();
+
     printHeader("t_traffic_mix: request vs reply bits",
                 "EquiNox (HPCA'20) Section 2.2");
-
-    ExperimentConfig ec;
-    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    ec.instScale = cfg.getDouble("scale", 0.2);
-    ec.schemes = {"SeparateBase"};
-    ec.workloads = workloadSubset(
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 12)));
-    applyTrafficArgs(ec.traffic, cfg);
 
     ExperimentRunner runner(ec);
     auto cells = runner.runMatrix();
@@ -52,4 +50,6 @@ main(int argc, char **argv)
                 100.0 * static_cast<double>(req) /
                     static_cast<double>(req + rep));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -18,8 +18,12 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg = parseBenchArgs(argc, argv);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    DesignParams dp;
+    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnused();
+
     printHeader("t_ubump_area: ubump cost comparison",
                 "EquiNox (HPCA'20) Section 6.6");
 
@@ -47,8 +51,6 @@ main(int argc, char **argv)
                                    cmesh_bumps));
 
     // Our actually synthesized design.
-    DesignParams dp;
-    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     EquiNoxDesign d = buildEquiNoxDesign(dp);
     std::printf("\nour MCTS design: %d EIR links -> %d ubumps, "
                 "%.2f mm^2 (%.2f%% below CMesh)\n",
@@ -68,4 +70,6 @@ main(int argc, char **argv)
                 bumps.areaForBumps(bumps.bumpsForLink(bidir, true)),
                 bumps.areaForBumps(bumps.bumpsForLink(bidir, false)));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -9,10 +9,9 @@
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "core/design_flow.hh"
 #include "schemes/scheme_registry.hh"
 
@@ -20,15 +19,12 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg;
-    std::vector<std::string> toks;
-    for (int i = 1; i < argc; ++i)
-        toks.emplace_back(argv[i]);
-    cfg.parseArgs(toks);
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     int size = static_cast<int>(cfg.getInt("size", 8));
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    int iters = static_cast<int>(cfg.getInt("iters", 600));
+    cfg.rejectUnused();
 
     // Everything registered with the SchemeRegistry, including
     // variants that exist only as registry entries (no legacy enum).
@@ -49,8 +45,7 @@ main(int argc, char **argv)
         dp.width = dp.height = size;
         dp.seed = seed;
         dp.method = m;
-        dp.mcts.iterationsPerLevel =
-            static_cast<int>(cfg.getInt("iters", 600));
+        dp.mcts.iterationsPerLevel = iters;
         EquiNoxDesign d = buildEquiNoxDesign(dp);
         std::printf("\n--- %s ---\n%s", searchMethodName(m),
                     d.ascii().c_str());
@@ -75,4 +70,6 @@ main(int argc, char **argv)
                     d.placementPenalty);
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -5,15 +5,15 @@
  * mix, and per-component diagnostics.
  *
  * Usage: full_system_run [benchmark=kmeans] [scale=0.3] [seed=1]
- *                        [scheme=<name>] [verbose=true]
+ *                        [scheme=<key>[,<key>...]] [verbose=true]
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "sim/experiment.hh"
+#include "sweep/knobs.hh"
 
 using namespace eqx;
 
@@ -78,44 +78,40 @@ dumpRun(const std::string &scheme, const RunResult &r, const System *sys)
 
 int
 main(int argc, char **argv)
-{
-    Config cfg;
-    std::vector<std::string> toks;
-    for (int i = 1; i < argc; ++i)
-        toks.emplace_back(argv[i]);
-    cfg.parseArgs(toks);
-
+try {
+    Config cfg = parseCliArgs(argc, argv);
     WorkloadProfile wp = workloadByName(
         cfg.getString("benchmark", "kmeans"));
     wp.instsPerPe = static_cast<std::uint64_t>(
-        static_cast<double>(wp.instsPerPe) * cfg.getDouble("scale", 0.3));
-
-    // The paper's seven by default; scheme= picks any registered
-    // scheme through the SchemeRegistry (name or alias, any case —
-    // unknown keys abort with the registered key list).
-    std::vector<std::string> schemes = paperSchemeNames();
-    if (cfg.has("scheme"))
-        schemes = {SchemeRegistry::instance()
-                       .byName(cfg.getString("scheme"))
-                       .name()};
+        static_cast<double>(wp.instsPerPe) * parseScaleKnob(cfg, 0.3));
+    // The paper's seven by default; scheme= picks registered schemes
+    // through the SchemeRegistry (name or alias, any case — unknown
+    // keys abort with the registered key list).
+    std::vector<std::string> schemes =
+        parseSchemeKnob(cfg, paperSchemeNames());
+    std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    bool verbose = cfg.getBool("verbose", false);
+    cfg.rejectUnused();
 
     std::printf("benchmark=%s instsPerPe=%llu\n", wp.name.c_str(),
                 static_cast<unsigned long long>(wp.instsPerPe));
 
     // Build one EquiNox design shared across runs.
     DesignParams dp;
-    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    dp.seed = seed;
     EquiNoxDesign design = buildEquiNoxDesign(dp);
 
     for (const std::string &s : schemes) {
         SystemConfig sc;
         sc.schemeKey = s;
-        sc.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+        sc.seed = seed;
         if (SchemeRegistry::instance().byName(s).usesEquiNoxDesign())
             sc.preDesign = &design;
         System sys(sc, wp);
         RunResult r = sys.run();
-        dumpRun(s, r, cfg.getBool("verbose", false) ? &sys : nullptr);
+        dumpRun(s, r, verbose ? &sys : nullptr);
     }
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

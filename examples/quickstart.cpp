@@ -9,9 +9,9 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "core/design_flow.hh"
 #include "sim/system.hh"
 
@@ -19,18 +19,16 @@ using namespace eqx;
 
 int
 main(int argc, char **argv)
-{
-    Config cfg;
-    std::vector<std::string> toks;
-    for (int i = 1; i < argc; ++i)
-        toks.emplace_back(argv[i]);
-    cfg.parseArgs(toks);
+try {
+    Config cfg = parseCliArgs(argc, argv);
+    DesignParams dp;
+    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    std::string benchmark = cfg.getString("benchmark", "kmeans");
+    cfg.rejectUnused();
 
     // 1. Run the EquiNox design flow: N-Queen CB placement scored by
     //    the hot-zone penalty, then MCTS selection of the Equivalent
     //    Injection Routers and their interposer links.
-    DesignParams dp;
-    dp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     EquiNoxDesign design = buildEquiNoxDesign(dp);
 
     std::printf("EquiNox design for %dx%d, %zu cache banks:\n%s\n",
@@ -44,8 +42,7 @@ main(int argc, char **argv)
 
     // 2. Deploy it on the full system (PEs + L1s + NoC + L2 banks +
     //    HBM stacks) and run one benchmark.
-    WorkloadProfile wp =
-        workloadByName(cfg.getString("benchmark", "kmeans"));
+    WorkloadProfile wp = workloadByName(benchmark);
     wp.instsPerPe /= 4; // quick demo run
 
     SystemConfig sc;
@@ -76,4 +73,6 @@ main(int argc, char **argv)
                 rb.execNs / r.execNs,
                 100.0 * (1.0 - r.execNs / rb.execNs));
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

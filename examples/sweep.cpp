@@ -12,7 +12,7 @@
  *         [jsonl=out.jsonl] [csv=out.csv]
  *         [decorrelate=0] [verify=0] [warmup=0] [metrics=0]
  *         [cache=dir] [journal=path] [resume=0] [shard=i/N]
- *         [digest=0]
+ *         [digest=0] [traffic=key] [storm_rate=f] ...
  *   sweep merge=a.jnl,b.jnl out=merged.jsonl [gaps=0]
  *
  *   scheme=...     restrict the sweep to these SchemeRegistry keys
@@ -28,6 +28,9 @@
  *   metrics=1      collect the per-router / per-NI observability
  *                  snapshot per cell ("m."-prefixed JSONL keys) and
  *                  print a per-scheme digest
+ *   traffic=KEY    traffic model, with the storm_*, coh_* and trace=
+ *                  knobs every sweep-driven bench takes
+ *                  (src/sweep/knobs.hh)
  *
  * Sweep fabric (src/sweep, DESIGN.md §13):
  *   cache=DIR      content-addressed cell cache: cells whose digest
@@ -46,7 +49,7 @@
  *
  * Exit status: 0 only when every requested cell succeeded (and, with
  * verify=1, matched the serial reference; with merge=, the merge was
- * complete and consistent).
+ * complete and consistent); 2 on a user error such as an unknown knob.
  */
 
 #include <algorithm>
@@ -56,70 +59,25 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/logging.hh"
 #include "runner/job_pool.hh"
 #include "sim/experiment.hh"
+#include "sweep/knobs.hh"
 #include "sweep/shard.hh"
-#include "sweep/sweep_runner.hh"
 
 using namespace eqx;
 
-namespace {
-
-std::vector<std::string>
-splitCommas(const std::string &spec)
-{
-    std::vector<std::string> out;
-    for (std::size_t start = 0; start <= spec.size();) {
-        std::size_t comma = spec.find(',', start);
-        std::size_t len =
-            comma == std::string::npos ? std::string::npos : comma - start;
-        std::string item = spec.substr(start, len);
-        if (!item.empty())
-            out.push_back(std::move(item));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-bool
-sameRunResult(const RunResult &a, const RunResult &b)
-{
-    return a.completed == b.completed && a.cycles == b.cycles &&
-           a.execNs == b.execNs && a.totalInsts == b.totalInsts &&
-           a.ipc == b.ipc && a.energyPj == b.energyPj &&
-           a.edp == b.edp && a.areaMm2 == b.areaMm2 &&
-           a.reqQueueNs == b.reqQueueNs && a.reqNetNs == b.reqNetNs &&
-           a.repQueueNs == b.repQueueNs && a.repNetNs == b.repNetNs &&
-           a.reqPackets == b.reqPackets && a.repPackets == b.repPackets &&
-           a.requestBits == b.requestBits && a.replyBits == b.replyBits &&
-           a.reqP50Ns == b.reqP50Ns && a.reqP95Ns == b.reqP95Ns &&
-           a.reqP99Ns == b.reqP99Ns && a.repP50Ns == b.repP50Ns &&
-           a.repP95Ns == b.repP95Ns && a.repP99Ns == b.repP99Ns &&
-           a.maxEirLoadPackets == b.maxEirLoadPackets &&
-           a.metrics.all() == b.metrics.all();
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
-{
-    Config cfg;
-    std::vector<std::string> toks;
-    for (int i = 1; i < argc; ++i)
-        toks.emplace_back(argv[i]);
-    cfg.parseArgs(toks);
+try {
+    Config cfg = parseCliArgs(argc, argv);
 
     if (cfg.has("merge")) {
-        std::vector<std::string> inputs =
-            splitCommas(cfg.getString("merge"));
+        std::vector<std::string> inputs = splitList(cfg.getString("merge"));
         std::string out = cfg.getString("out", "merged.jsonl");
-        MergeResult mr =
-            mergeJournals(inputs, out, cfg.getBool("gaps", false));
+        bool gaps = cfg.getBool("gaps", false);
+        cfg.rejectUnused();
+        MergeResult mr = mergeJournals(inputs, out, gaps);
         if (!mr.ok()) {
             std::fprintf(stderr, "merge failed: %s\n", mr.error.c_str());
             return 1;
@@ -130,51 +88,17 @@ main(int argc, char **argv)
     }
 
     ExperimentConfig ec;
-    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    ec.instScale = cfg.getDouble("scale", 0.2);
-    ec.workloads = workloadSubset(
-        static_cast<std::size_t>(cfg.getInt("benchmarks", 8)));
-    ec.workers = static_cast<int>(cfg.getInt("workers", 0));
-    ec.jobTimeoutSec = cfg.getDouble("timeout", 0);
-    ec.jobRetries = static_cast<int>(cfg.getInt("retries", 1));
-    ec.progress = cfg.getBool("progress", true);
-    ec.jsonlPath = cfg.getString("jsonl", "");
+    applyMatrixKnobs(ec, cfg, 0.2, 8);
+    ec.schemes = parseSchemeKnob(cfg, ec.schemes);
     ec.decorrelateSeeds = cfg.getBool("decorrelate", false);
-    ec.warmupCycles = static_cast<Cycle>(cfg.getInt("warmup", 0));
-    ec.collectMetrics = cfg.getBool("metrics", false);
-    if (cfg.has("scheme")) {
-        // Resolve each comma-separated key through the SchemeRegistry
-        // (case-insensitive names or aliases; unknown keys are fatal).
-        ec.schemes.clear();
-        std::string spec = cfg.getString("scheme");
-        for (std::size_t start = 0; start <= spec.size();) {
-            std::size_t comma = spec.find(',', start);
-            std::size_t len = comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - start;
-            std::string key = spec.substr(start, len);
-            if (!key.empty())
-                ec.schemes.push_back(
-                    SchemeRegistry::instance().byName(key).name());
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-    }
+    applyRunnerKnobs(ec, cfg, true);
+    SweepOptions so = parseSweepKnobs(cfg);
+    bool digest = cfg.getBool("digest", false);
+    std::string csv = cfg.getString("csv", "");
+    bool verify = cfg.getBool("verify", false);
+    cfg.rejectUnused();
 
-    SweepOptions so;
-    so.cacheDir = cfg.getString("cache", "");
-    so.journalPath = cfg.getString("journal", "");
-    so.resume = cfg.getBool("resume", false);
-    std::string shard_spec = cfg.getString("shard", "");
-    if (!shard_spec.empty() &&
-        !parseShardSpec(shard_spec, so.shardIndex, so.shardCount))
-        eqx_fatal("bad shard= spec '", shard_spec,
-                  "' (want i/N with 0 <= i < N)");
-    if (so.resume && so.journalPath.empty())
-        eqx_fatal("resume=1 needs journal=<path>");
-
-    if (cfg.getBool("digest", false)) {
+    if (digest) {
         // Dry run: identity only, nothing simulated.
         auto ids = listCellDigests(ec, so.shardCount);
         std::printf("%5s %-18s %-16s %5s  %s\n", "cell", "scheme",
@@ -196,19 +120,7 @@ main(int argc, char **argv)
                 workers == 1 ? "" : "s");
 
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<CellResult> cells;
-    if (so.enabled()) {
-        SweepOutcome out = runSweep(ec, so);
-        std::printf("sweep fabric: %zu/%zu cells (shard %d/%d), "
-                    "%zu journal + %zu cache served, %zu simulated\n",
-                    out.shardCells, out.totalCells, so.shardIndex,
-                    so.shardCount, out.journalHits, out.cacheHits,
-                    out.simulated);
-        cells = std::move(out.cells);
-    } else {
-        ExperimentRunner runner(ec);
-        cells = runner.runMatrix();
-    }
+    std::vector<CellResult> cells = runMatrixOrSweep(ec, so);
     auto t1 = std::chrono::steady_clock::now();
     double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
@@ -230,9 +142,9 @@ main(int argc, char **argv)
                 wall_s > 0 ? cpu_ms / 1000.0 / wall_s : 0.0, failed,
                 cells.size());
 
-    if (cfg.has("csv")) {
-        writeCellsCsv(cells, cfg.getString("csv"));
-        std::printf("wrote %s\n", cfg.getString("csv").c_str());
+    if (!csv.empty()) {
+        writeCellsCsv(cells, csv);
+        std::printf("wrote %s\n", csv.c_str());
     }
     if (!ec.jsonlPath.empty())
         std::printf("streamed %zu JSONL records to %s\n", cells.size(),
@@ -278,7 +190,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (cfg.getBool("verify", false)) {
+    if (verify) {
         std::printf("\nverify: re-running serially...\n");
         ExperimentConfig serial = ec;
         serial.workers = 1;
@@ -287,12 +199,16 @@ main(int argc, char **argv)
         ExperimentRunner ref(serial);
         auto ref_cells = ref.runMatrix();
         // The reference always runs the full matrix; index by each
-        // cell's canonical slot so shard=/cache= runs verify too.
+        // cell's canonical slot so shard=/cache= runs verify too. Cells
+        // match when their JSONL records do, wall time aside.
+        auto record = [](CellResult c) {
+            c.wallMs = 0;
+            return cellJsonRecord(c);
+        };
         std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            if (cells[i].index >= ref_cells.size() ||
-                !sameRunResult(cells[i].result,
-                               ref_cells[cells[i].index].result))
+        for (const CellResult &c : cells)
+            if (c.index >= ref_cells.size() ||
+                record(c) != record(ref_cells[c.index]))
                 ++mismatches;
         std::printf("verify: %zu/%zu cells bit-identical to serial\n",
                     cells.size() - mismatches, cells.size());
@@ -301,4 +217,6 @@ main(int argc, char **argv)
         return (failed || mismatches) ? 1 : 0;
     }
     return failed ? 1 : 0;
+} catch (const FatalError &) {
+    return 2;
 }

@@ -9,10 +9,9 @@
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "core/design_flow.hh"
 #include "sim/synthetic.hh"
 
@@ -41,14 +40,11 @@ sweep(const char *label, const SyntheticParams &base, int points,
 
 int
 main(int argc, char **argv)
-{
-    Config cfg;
-    std::vector<std::string> toks;
-    for (int i = 1; i < argc; ++i)
-        toks.emplace_back(argv[i]);
-    cfg.parseArgs(toks);
+try {
+    Config cfg = parseCliArgs(argc, argv);
     int points = static_cast<int>(cfg.getInt("points", 8));
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnused();
 
     // The EquiNox design supplies placement and EIR groups.
     DesignParams dp;
@@ -80,4 +76,6 @@ main(int argc, char **argv)
                 "sources are the %zu CBs.)\n",
                 base.cbs.size());
     return 0;
+} catch (const FatalError &) {
+    return 2;
 }

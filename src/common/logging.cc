@@ -49,7 +49,7 @@ fatalImpl(const std::string &msg, const char *file, int line)
                      line);
     }
     // Throw instead of exit(1) so tests can observe fatal conditions.
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

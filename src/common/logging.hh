@@ -8,9 +8,21 @@
 #define EQX_COMMON_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace eqx {
+
+/**
+ * What eqx_fatal throws: a user error whose message is already on
+ * stderr. Each CLI main catches it and exits with status 2; panics
+ * (simulator bugs) are not caught and still abort.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "interposer/ubump.hh"
@@ -29,15 +30,7 @@ bool
 parseFaultKinds(const std::string &spec, std::uint32_t &kinds_out)
 {
     std::uint32_t kinds = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (tok.empty())
-            continue;
+    for (const std::string &tok : splitList(spec)) {
         if (tok == "stall")
             kinds |= faultBit(FaultKind::TransientStall);
         else if (tok == "corrupt")

@@ -1,0 +1,161 @@
+#include "sweep/knobs.hh"
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <utility>
+
+#include "common/logging.hh"
+#include "sweep/shard.hh"
+#include "traffic/traffic_registry.hh"
+
+namespace eqx {
+
+namespace {
+
+/** An integer knob that must be at least @p min. */
+long
+intAtLeast(const Config &cfg, const char *key, long fallback, long min)
+{
+    long v = cfg.getInt(key, fallback);
+    if (v < min)
+        eqx_fatal("knob ", key, "=", v, " is out of range (want >= ",
+                  min, ")");
+    return v;
+}
+
+} // namespace
+
+double
+parseScaleKnob(const Config &cfg, double fallback)
+{
+    double v = cfg.getDouble("scale", fallback);
+    // The scale multiplies instruction counts that become integers:
+    // a negative, NaN or huge value has no integer to become.
+    if (!(v > 0 && v <= 1000))
+        eqx_fatal("knob scale=", v, " is out of range (want (0, 1000])");
+    return v;
+}
+
+void
+applyMatrixKnobs(ExperimentConfig &ec, const Config &cfg,
+                 double scale_default, long benchmarks_default)
+{
+    ec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    ec.instScale = parseScaleKnob(cfg, scale_default);
+    ec.workloads = workloadSubset(static_cast<std::size_t>(
+        intAtLeast(cfg, "benchmarks", benchmarks_default, 1)));
+}
+
+std::vector<std::string>
+parseSchemeKnob(const Config &cfg, std::vector<std::string> fallback)
+{
+    if (!cfg.has("scheme"))
+        return fallback;
+    std::vector<std::string> out;
+    for (const std::string &key : splitList(cfg.getString("scheme")))
+        out.push_back(SchemeRegistry::instance().byName(key).name());
+    if (out.empty())
+        eqx_fatal("empty scheme list; registered schemes: ",
+                  SchemeRegistry::instance().keyList());
+    return out;
+}
+
+void
+applyTrafficKnobs(TrafficConfig &tc, const Config &cfg)
+{
+    // traffic= is validated against the registry up front and stored
+    // canonically; an untouched command line leaves the config, and
+    // therefore the cell digest and record schema, unchanged.
+    std::string model = cfg.getString("traffic", "");
+    if (!model.empty())
+        tc.model = TrafficRegistry::instance().byName(model).name();
+    tc.trace = cfg.getString("trace", tc.trace);
+    tc.stormRatePerK = cfg.getDouble("storm_rate", tc.stormRatePerK);
+    tc.stormHorizon = static_cast<std::uint64_t>(cfg.getInt(
+        "storm_horizon", static_cast<long>(tc.stormHorizon)));
+    tc.stormQueueCap =
+        static_cast<int>(cfg.getInt("storm_queue", tc.stormQueueCap));
+    tc.stormTrough = cfg.getDouble("storm_trough", tc.stormTrough);
+    tc.stormWriteFrac = cfg.getDouble("storm_write", tc.stormWriteFrac);
+    tc.stormHotCbs =
+        static_cast<int>(cfg.getInt("storm_hot_cbs", tc.stormHotCbs));
+    tc.stormHotFrac = cfg.getDouble("storm_hot_frac", tc.stormHotFrac);
+    tc.coherenceVcs =
+        static_cast<int>(cfg.getInt("coh_vcs", tc.coherenceVcs));
+    tc.cohRegionLines =
+        static_cast<int>(cfg.getInt("coh_region", tc.cohRegionLines));
+}
+
+void
+applyRunnerKnobs(ExperimentConfig &ec, const Config &cfg,
+                 bool progress_default)
+{
+    ec.workers = static_cast<int>(cfg.getInt("workers", 0));
+    ec.jobTimeoutSec = cfg.getDouble("timeout", 0);
+    if (!(std::isfinite(ec.jobTimeoutSec) && ec.jobTimeoutSec >= 0))
+        eqx_fatal("knob timeout=", ec.jobTimeoutSec,
+                  " is out of range (want a finite value >= 0)");
+    ec.jobRetries = static_cast<int>(intAtLeast(cfg, "retries", 1, 0));
+    ec.progress = cfg.getBool("progress", progress_default);
+    ec.jsonlPath = cfg.getString("jsonl", "");
+    ec.warmupCycles = static_cast<Cycle>(cfg.getInt("warmup", 0));
+    ec.collectMetrics = cfg.getBool("metrics", false);
+    applyTrafficKnobs(ec.traffic, cfg);
+}
+
+SweepOptions
+parseSweepKnobs(const Config &cfg)
+{
+    SweepOptions so;
+    so.cacheDir = cfg.getString("cache", "");
+    so.journalPath = cfg.getString("journal", "");
+    so.resume = cfg.getBool("resume", false);
+    std::string shard = cfg.getString("shard", "");
+    if (!shard.empty() &&
+        !parseShardSpec(shard, so.shardIndex, so.shardCount))
+        eqx_fatal("bad shard= spec '", shard,
+                  "' (want i/N with 0 <= i < N)");
+    if (so.resume && so.journalPath.empty())
+        eqx_fatal("resume=1 needs journal=<path>");
+    return so;
+}
+
+void
+applyFaultKnobs(FaultConfig &fc, const Config &cfg)
+{
+    fc.ratePerKTick = cfg.getDouble("fault_rate", fc.ratePerKTick);
+    std::string types = cfg.getString("fault_types", "");
+    if (!types.empty() && !parseFaultKinds(types, fc.kinds))
+        eqx_fatal("unknown fault_types spec: '", types, "'");
+    fc.retxTimeout = static_cast<Cycle>(
+        cfg.getInt("retx_timeout", static_cast<long>(fc.retxTimeout)));
+    fc.retxMax = static_cast<int>(cfg.getInt("retx_max", fc.retxMax));
+    fc.seed = static_cast<std::uint64_t>(
+        cfg.getInt("fault_seed", static_cast<long>(fc.seed)));
+    fc.horizonTicks = static_cast<Cycle>(cfg.getInt(
+        "fault_horizon", static_cast<long>(fc.horizonTicks)));
+    fc.detectLatency = static_cast<Cycle>(cfg.getInt(
+        "detect_latency", static_cast<long>(fc.detectLatency)));
+    fc.ackLatency = static_cast<Cycle>(
+        cfg.getInt("ack_latency", static_cast<long>(fc.ackLatency)));
+}
+
+std::vector<CellResult>
+runMatrixOrSweep(const ExperimentConfig &ec, const SweepOptions &so)
+{
+    if (!so.enabled()) {
+        ExperimentRunner runner(ec);
+        return runner.runMatrix();
+    }
+    SweepOutcome out = runSweep(ec, so);
+    std::printf("sweep fabric: %zu/%zu cells (shard %d/%d), "
+                "%zu journal + %zu cache served, %zu simulated, "
+                "%zu failed\n",
+                out.shardCells, out.totalCells, so.shardIndex,
+                so.shardCount, out.journalHits, out.cacheHits,
+                out.simulated, out.failed);
+    return std::move(out.cells);
+}
+
+} // namespace eqx

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+
 #include "common/config.hh"
+#include "common/logging.hh"
 
 namespace eqx {
 namespace {
@@ -76,6 +81,89 @@ TEST(Config, OverrideKeepsLatest)
     Config c;
     c.parseArgs({"k=1", "k=2"});
     EXPECT_EQ(c.getInt("k"), 2);
+}
+
+TEST(Config, IntegersParseInBaseTen)
+{
+    // strtol base 0 read a leading zero as octal: benchmarks=08 was
+    // "not an integer" and seed=010 silently meant 8.
+    Config c;
+    c.parseArgs({"benchmarks=08", "seed=010", "hex=0x10"});
+    EXPECT_EQ(c.getInt("benchmarks"), 8);
+    EXPECT_EQ(c.getInt("seed"), 10);
+    EXPECT_THROW(c.getInt("hex"), std::runtime_error);
+}
+
+TEST(Config, FatalErrorIsARuntimeError)
+{
+    static_assert(std::is_base_of_v<std::runtime_error, FatalError>);
+    Config c;
+    c.set("s", "abc");
+    EXPECT_THROW(c.getInt("s"), FatalError);
+}
+
+TEST(Config, RejectUnusedListsEveryUnreadKey)
+{
+    Config c;
+    c.parseArgs({"workerz=1", "seed=2", "wrkrz=3", "zzz=4"});
+    c.getInt("workers", 0);
+    c.getInt("seed", 1);
+    try {
+        c.rejectUnused();
+        FAIL() << "unread keys were accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(
+            msg.find("unknown knob 'workerz' (did you mean 'workers'?)"),
+            std::string::npos)
+            << msg;
+        // Three edits from 'workers': listed, but no suggestion.
+        EXPECT_NE(msg.find("unknown knob 'wrkrz'"), std::string::npos);
+        EXPECT_EQ(msg.find("'wrkrz' (did"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("unknown knob 'zzz'"), std::string::npos);
+        EXPECT_EQ(msg.find("'seed'"), std::string::npos) << msg;
+    }
+}
+
+TEST(Config, HasCountsAsARead)
+{
+    Config c;
+    c.parseArgs({"csv=out.csv"});
+    EXPECT_TRUE(c.has("csv"));
+    EXPECT_NO_THROW(c.rejectUnused());
+}
+
+TEST(Config, FirstReadAfterRejectUnusedPanics)
+{
+    Config c;
+    c.parseArgs({"a=1"});
+    EXPECT_EQ(c.getInt("a"), 1);
+    EXPECT_FALSE(c.has("b"));
+    c.rejectUnused();
+    // Known keys, set or not, may be read again...
+    EXPECT_EQ(c.getInt("a"), 1);
+    EXPECT_FALSE(c.has("b"));
+    // ...but a knob first read now escaped the check.
+    EXPECT_THROW(c.getInt("late", 0), std::logic_error);
+    EXPECT_THROW(c.has("later"), std::logic_error);
+}
+
+TEST(Config, SplitListDropsEmptyItems)
+{
+    EXPECT_EQ(splitList("a,b"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(splitList(",a,,b,"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(splitList("").empty());
+    EXPECT_TRUE(splitList(",,").empty());
+}
+
+TEST(Config, ParseCliArgsSkipsTheProgramName)
+{
+    char prog[] = "bench", kv[] = "seed=3";
+    char *argv[] = {prog, kv};
+    Config c = parseCliArgs(2, argv);
+    EXPECT_EQ(c.all().size(), 1u);
+    EXPECT_EQ(c.getInt("seed"), 3);
+    EXPECT_TRUE(parseCliArgs(1, argv).all().empty());
 }
 
 } // namespace
