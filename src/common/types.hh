@@ -18,8 +18,9 @@ using Cycle = std::uint64_t;
 
 /**
  * "No scheduled work, ever" sentinel for next-due-cycle queries
- * (TimeWheel, DESIGN.md §14): a component returning this is woken
- * only by another component's activity, never by the passage of time.
+ * (System::maybeSkip, DESIGN.md §14): a component returning this is
+ * woken only by another component's activity, never by the passage
+ * of time.
  */
 constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
 

@@ -40,7 +40,6 @@ struct JsonValue
     double asDouble() const;
     std::uint64_t asU64() const;
     std::int64_t asI64() const;
-    int asInt() const { return static_cast<int>(asI64()); }
     bool asBool() const { return kind == Kind::Bool && boolean; }
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Process-wide registry of SchemeModels. Maps case-insensitive string
- * keys (canonical names + aliases) and the legacy Scheme enum to
- * models. The singleton registers the built-in schemes in the paper's
+ * Process-wide registry of SchemeModels: the shared name/alias
+ * registry (common/named_registry.hh) plus the legacy Scheme enum map.
+ * The singleton registers the built-in schemes in the paper's
  * comparison order (see registration.hh); a default-constructed
  * registry is empty, for tests.
  */
@@ -13,26 +13,21 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/named_registry.hh"
 #include "schemes/scheme_model.hh"
 
 namespace eqx {
 
-class SchemeRegistry
+class SchemeRegistry : public NamedRegistry<SchemeModel>
 {
   public:
     /** The global registry, populated with every built-in scheme. */
     static SchemeRegistry &instance();
 
     /** An empty registry (tests build private ones). */
-    SchemeRegistry() = default;
-
-    SchemeRegistry(const SchemeRegistry &) = delete;
-    SchemeRegistry &operator=(const SchemeRegistry &) = delete;
-    SchemeRegistry(SchemeRegistry &&) = default;
-    SchemeRegistry &operator=(SchemeRegistry &&) = default;
+    SchemeRegistry() : NamedRegistry("scheme", "schemes") {}
 
     /**
      * Register a model under its name, aliases and legacy enum.
@@ -41,31 +36,10 @@ class SchemeRegistry
      */
     bool add(std::unique_ptr<SchemeModel> model);
 
-    /** Case-insensitive lookup by name or alias; null when unknown. */
-    const SchemeModel *find(std::string_view key) const;
-
-    /** Like find(), but fatal (listing the registered keys). */
-    const SchemeModel &byName(std::string_view key) const;
-
     /** The model behind a legacy enum value (fatal when unmapped). */
     const SchemeModel &byEnum(Scheme s) const;
 
-    /** Every registered model, in registration order. */
-    const std::vector<const SchemeModel *> &models() const
-    {
-        return order_;
-    }
-
-    /** Canonical names, registration order. */
-    std::vector<std::string> names() const;
-
-    /** "SingleBase, VC-Mono, ..." — for error messages and usage. */
-    std::string keyList() const;
-
   private:
-    std::vector<std::unique_ptr<SchemeModel>> owned_;
-    std::vector<const SchemeModel *> order_;
-    std::map<std::string, const SchemeModel *, std::less<>> byKey_;
     std::map<Scheme, const SchemeModel *> byEnum_;
 };
 

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -195,6 +198,199 @@ ExperimentRunner::runMatrix()
     return cells;
 }
 
+namespace {
+
+/** Prefix of the observability-snapshot columns. */
+constexpr std::string_view kMetricPrefix = "m.";
+
+double
+ratio(std::uint64_t num, std::uint64_t den)
+{
+    return den ? static_cast<double>(num) / static_cast<double>(den)
+               : 0.0;
+}
+
+/**
+ * The public cell-record schema: every column once, in record order.
+ * The visitor V (ColumnWriter or ColumnReader) supplies
+ *   col(key, field[, required])  one column;
+ *   optional(key, text)          written only when non-empty;
+ *   group(key, flag, body)       the flag column and body's columns,
+ *                                present only when the flag is set;
+ *   derived(key, value)          written, skipped on read;
+ *   metrics(stats)               the "m."-prefixed snapshot columns.
+ */
+template <class V, class Cell>
+void
+visitColumns(V &v, Cell &c)
+{
+    auto &r = c.result;
+    v.col("benchmark", c.benchmark, true);
+    v.col("scheme", c.scheme, true);
+    v.col("failed", c.failed);
+    v.col("attempts", c.attempts);
+    v.col("wall_ms", c.wallMs);
+    v.optional("error", c.error);
+    v.col("completed", r.completed, true);
+    v.col("cycles", r.cycles);
+    v.col("exec_ns", r.execNs);
+    v.col("total_insts", r.totalInsts);
+    v.col("ipc", r.ipc);
+    v.col("energy_pj", r.energyPj);
+    v.col("edp", r.edp);
+    v.col("area_mm2", r.areaMm2);
+    v.col("req_queue_ns", r.reqQueueNs);
+    v.col("req_net_ns", r.reqNetNs);
+    v.col("rep_queue_ns", r.repQueueNs);
+    v.col("rep_net_ns", r.repNetNs);
+    v.col("req_packets", r.reqPackets);
+    v.col("rep_packets", r.repPackets);
+    v.col("request_bits", r.requestBits);
+    v.col("reply_bits", r.replyBits);
+    v.col("req_p50_ns", r.reqP50Ns);
+    v.col("req_p95_ns", r.reqP95Ns);
+    v.col("req_p99_ns", r.reqP99Ns);
+    v.col("rep_p50_ns", r.repP50Ns);
+    v.col("rep_p95_ns", r.repP95Ns);
+    v.col("rep_p99_ns", r.repP99Ns);
+    v.col("max_eir_load", r.maxEirLoadPackets);
+
+    auto delivered_ratio = [&](std::uint64_t delivered,
+                               std::uint64_t offered) {
+        v.derived("delivered_ratio", ratio(delivered, offered));
+    };
+    // Fault-resilience columns appear only on fault-armed runs so
+    // the un-faulted record schema stays byte-identical.
+    v.group("fault_armed", r.faultArmed, [&] {
+        v.col("degraded", r.degraded);
+        v.col("fault_seq_packets", r.faultSeqPackets);
+        v.col("fault_delivered", r.faultDelivered);
+        v.col("fault_dups", r.faultDuplicates);
+        v.col("fault_retx", r.faultRetx);
+        v.col("fault_lost", r.faultLost);
+        v.col("fault_worms_dropped", r.faultWormsDropped);
+        v.col("fault_flits_dropped", r.faultFlitsDropped);
+        v.col("fault_credits_reconciled", r.faultCreditsReconciled);
+        v.col("fault_masked_ports", r.faultMaskedPorts);
+        v.derived("retx_rate", ratio(r.faultRetx, r.faultSeqPackets));
+        // Storm-armed runs own the delivered_ratio column (their
+        // end-to-end delivered/offered is the headline number); the
+        // fault-plane ratio stays derivable from the counters above.
+        if (!r.stormArmed)
+            delivered_ratio(r.faultDelivered, r.faultSeqPackets);
+    });
+    // Open-loop storm columns (traffic model storm-*), present only on
+    // storm-armed runs so the closed-loop record schema is unchanged.
+    v.group("storm_armed", r.stormArmed, [&] {
+        v.col("storm_offered", r.stormOffered);
+        v.col("storm_injected", r.stormInjected);
+        v.col("storm_delivered", r.stormDelivered);
+        v.col("storm_dropped", r.stormDropped);
+        delivered_ratio(r.stormDelivered, r.stormOffered);
+        v.derived("storm_saturated", r.stormDropped > 0);
+    });
+    // Coherence-style multi-flow columns (traffic model "coherence").
+    v.group("coh_armed", r.cohArmed, [&] {
+        v.col("coh_invalidations", r.cohInvalidations);
+        v.col("coh_inv_acks", r.cohInvAcks);
+    });
+    // The observability snapshot rides along "m."-prefixed so schema
+    // consumers can separate the fixed columns from the per-router
+    // keys (present only when metrics collection was enabled).
+    v.metrics(r.metrics);
+}
+
+struct ColumnWriter
+{
+    JsonObject &o;
+
+    template <class T>
+    void col(const char *key, const T &value, bool = false)
+    {
+        o.field(key, value);
+    }
+    void optional(const char *key, const std::string &text)
+    {
+        if (!text.empty())
+            o.field(key, text);
+    }
+    template <class Body>
+    void group(const char *key, bool flag, Body body)
+    {
+        if (flag) {
+            o.field(key, flag);
+            body();
+        }
+    }
+    template <class T>
+    void derived(const char *key, T value)
+    {
+        o.field(key, value);
+    }
+    void metrics(const StatGroup &stats)
+    {
+        for (const auto &[k, v] : stats.all())
+            o.field(std::string(kMetricPrefix) + k, v);
+    }
+};
+
+/** Missing columns read as zero; ok drops on a missing required
+ *  column or an int column outside int range. */
+struct ColumnReader
+{
+    const JsonFields &f;
+    bool ok = true;
+
+    template <class T>
+    void col(const char *key, T &v, bool required = false)
+    {
+        auto it = f.find(key);
+        if (it == f.end()) {
+            ok = ok && !required;
+            v = T{};
+            return;
+        }
+        const JsonValue &j = it->second;
+        if constexpr (std::is_same_v<T, std::string>) {
+            v = j.text;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            v = j.asBool();
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = j.asDouble();
+        } else if constexpr (std::is_same_v<T, int>) {
+            std::int64_t x = j.asI64();
+            ok = ok && x >= std::numeric_limits<int>::min() &&
+                 x <= std::numeric_limits<int>::max();
+            v = static_cast<int>(x);
+        } else {
+            static_assert(std::is_same_v<T, std::uint64_t>);
+            v = j.asU64();
+        }
+    }
+    void optional(const char *key, std::string &text) { col(key, text); }
+    template <class Body>
+    void group(const char *key, bool &flag, Body body)
+    {
+        if (f.count(key)) {
+            col(key, flag);
+            body();
+        }
+    }
+    template <class T>
+    void derived(const char *, T)
+    {
+    }
+    void metrics(StatGroup &stats)
+    {
+        for (const auto &[k, v] : f)
+            if (k.size() > kMetricPrefix.size() &&
+                k.starts_with(kMetricPrefix))
+                stats.set(k.substr(kMetricPrefix.size()), v.asDouble());
+    }
+};
+
+} // namespace
+
 std::string
 cellJsonRecord(const CellResult &c)
 {
@@ -204,95 +400,19 @@ cellJsonRecord(const CellResult &c)
 JsonObject
 cellJsonObject(const CellResult &c)
 {
-    const RunResult &r = c.result;
     JsonObject o;
-    o.field("benchmark", c.benchmark)
-        .field("scheme", c.scheme)
-        .field("failed", c.failed)
-        .field("attempts", c.attempts)
-        .field("wall_ms", c.wallMs);
-    if (!c.error.empty())
-        o.field("error", c.error);
-    o.field("completed", r.completed)
-        .field("cycles", static_cast<std::uint64_t>(r.cycles))
-        .field("exec_ns", r.execNs)
-        .field("total_insts", r.totalInsts)
-        .field("ipc", r.ipc)
-        .field("energy_pj", r.energyPj)
-        .field("edp", r.edp)
-        .field("area_mm2", r.areaMm2)
-        .field("req_queue_ns", r.reqQueueNs)
-        .field("req_net_ns", r.reqNetNs)
-        .field("rep_queue_ns", r.repQueueNs)
-        .field("rep_net_ns", r.repNetNs)
-        .field("req_packets", r.reqPackets)
-        .field("rep_packets", r.repPackets)
-        .field("request_bits", r.requestBits)
-        .field("reply_bits", r.replyBits)
-        .field("req_p50_ns", r.reqP50Ns)
-        .field("req_p95_ns", r.reqP95Ns)
-        .field("req_p99_ns", r.reqP99Ns)
-        .field("rep_p50_ns", r.repP50Ns)
-        .field("rep_p95_ns", r.repP95Ns)
-        .field("rep_p99_ns", r.repP99Ns)
-        .field("max_eir_load", r.maxEirLoadPackets);
-    // Fault-resilience columns appear only on fault-armed runs so
-    // the un-faulted record schema stays byte-identical.
-    if (r.faultArmed) {
-        double dr = r.faultSeqPackets
-                        ? static_cast<double>(r.faultDelivered) /
-                              static_cast<double>(r.faultSeqPackets)
-                        : 0.0;
-        double rr = r.faultSeqPackets
-                        ? static_cast<double>(r.faultRetx) /
-                              static_cast<double>(r.faultSeqPackets)
-                        : 0.0;
-        o.field("fault_armed", r.faultArmed)
-            .field("degraded", r.degraded)
-            .field("fault_seq_packets", r.faultSeqPackets)
-            .field("fault_delivered", r.faultDelivered)
-            .field("fault_dups", r.faultDuplicates)
-            .field("fault_retx", r.faultRetx)
-            .field("fault_lost", r.faultLost)
-            .field("fault_worms_dropped", r.faultWormsDropped)
-            .field("fault_flits_dropped", r.faultFlitsDropped)
-            .field("fault_credits_reconciled",
-                   r.faultCreditsReconciled)
-            .field("fault_masked_ports", r.faultMaskedPorts)
-            .field("retx_rate", rr);
-        // Storm-armed runs own the delivered_ratio column (their
-        // end-to-end delivered/offered is the headline number); the
-        // fault-plane ratio stays derivable from the counters above.
-        if (!r.stormArmed)
-            o.field("delivered_ratio", dr);
-    }
-    // Open-loop storm columns (traffic model storm-*), present only on
-    // storm-armed runs so the closed-loop record schema is unchanged.
-    if (r.stormArmed) {
-        double dr = r.stormOffered
-                        ? static_cast<double>(r.stormDelivered) /
-                              static_cast<double>(r.stormOffered)
-                        : 0.0;
-        o.field("storm_armed", r.stormArmed)
-            .field("storm_offered", r.stormOffered)
-            .field("storm_injected", r.stormInjected)
-            .field("storm_delivered", r.stormDelivered)
-            .field("storm_dropped", r.stormDropped)
-            .field("delivered_ratio", dr)
-            .field("storm_saturated", r.stormDropped > 0);
-    }
-    // Coherence-style multi-flow columns (traffic model "coherence").
-    if (r.cohArmed) {
-        o.field("coh_armed", r.cohArmed)
-            .field("coh_invalidations", r.cohInvalidations)
-            .field("coh_inv_acks", r.cohInvAcks);
-    }
-    // The observability snapshot rides along "m."-prefixed so schema
-    // consumers can separate the fixed columns from the per-router
-    // keys (present only when metrics collection was enabled).
-    for (const auto &[k, v] : r.metrics.all())
-        o.field("m." + k, v);
+    ColumnWriter w{o};
+    visitColumns(w, c);
     return o;
+}
+
+bool
+parseCellJson(const JsonFields &f, CellResult &out)
+{
+    out = CellResult{};
+    ColumnReader rd{f};
+    visitColumns(rd, out);
+    return rd.ok;
 }
 
 void

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/flat_json.hh"
 #include "runner/job_pool.hh"
 #include "runner/jsonl.hh"
 #include "schemes/scheme_registry.hh"
@@ -178,6 +179,14 @@ std::string cellJsonRecord(const CellResult &cell);
 /** The same record as a JsonObject, for callers that splice extra
  *  fields around it (the src/sweep cache/journal records). */
 JsonObject cellJsonObject(const CellResult &cell);
+
+/**
+ * The inverse of cellJsonObject: restore a cell from one parsed
+ * record's columns (derived columns are skipped, missing ones read as
+ * zero). Returns false when `benchmark`, `scheme` or `completed` is
+ * missing or an int column is outside int range.
+ */
+bool parseCellJson(const JsonFields &fields, CellResult &out);
 
 /**
  * Print a benchmark x scheme table of metric values normalized to

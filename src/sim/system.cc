@@ -181,40 +181,37 @@ System::maybeSkip()
     if (cycle_ + 1 >= cfg_.maxCycles)
         return 0;
 
-    // One wheel epoch per consultation: every subsystem posts its
-    // next due cycle. Components likeliest to have immediate work go
-    // first so a loaded system bails out after one query. A
-    // fault-armed network always reports the next cycle (its plane
-    // runs timers every tick), so such a system never skips.
-    wheel_.beginEpoch(cycle_);
-    for (const auto &pe : pes_) {
-        Cycle due = pe->nextDueCycle(cycle_);
+    // Every subsystem reports its next due cycle; the earliest wins.
+    // Components likeliest to have immediate work go first so a
+    // loaded system bails out after one query. A fault-armed network
+    // always reports the next cycle (its plane runs timers every
+    // tick), so such a system never skips.
+    Cycle next = kNeverCycle;
+    auto due_now = [&](Cycle due) {
         if (due == cycle_ + 1)
+            return true;
+        if (due != kNeverCycle) {
+            eqx_assert(due > cycle_, "wake-up at ", due,
+                       " not after cycle ", cycle_);
+            next = std::min(next, due);
+        }
+        return false;
+    };
+    for (const auto &pe : pes_)
+        if (due_now(pe->nextDueCycle(cycle_)))
             return 0;
-        wheel_.post(due);
-    }
-    for (const auto &s : storms_) {
-        Cycle due = s->nextDueCycle(cycle_);
-        if (due == cycle_ + 1)
+    for (const auto &s : storms_)
+        if (due_now(s->nextDueCycle(cycle_)))
             return 0;
-        wheel_.post(due);
-    }
-    for (const auto &cb : cbs_) {
-        Cycle due = cb->nextDueCycle(cycle_);
-        if (due == cycle_ + 1)
+    for (const auto &cb : cbs_)
+        if (due_now(cb->nextDueCycle(cycle_)))
             return 0;
-        wheel_.post(due);
-    }
-    for (const auto &net : nets_) {
-        Cycle due = net->nextDueCycle(cycle_);
-        if (due == cycle_ + 1)
+    for (const auto &net : nets_)
+        if (due_now(net->nextDueCycle(cycle_)))
             return 0;
-        wheel_.post(due);
-    }
 
-    Cycle next = wheel_.nextDue();
-    if (next == kNeverCycle || next <= cycle_ + 1)
-        return 0; // drained (run() exits) or due immediately
+    if (next == kNeverCycle)
+        return 0; // drained: run() exits
     // Land one cycle short so the due cycle itself runs a full
     // step(), clamped so the warmup-reset and maxCycles boundaries
     // are still crossed by explicit steps.

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/time_wheel.hh"
 #include "common/types.hh"
 #include "gpu/cache_bank.hh"
 #include "gpu/endpoint.hh"
@@ -130,8 +129,8 @@ class System
     Cycle now() const { return cycle_; }
 
     /**
-     * Global time wheel consultation (DESIGN.md §14): every subsystem
-     * posts its next due cycle; if the minimum is beyond the next
+     * Global time wheel (DESIGN.md §14): every subsystem reports
+     * its next due cycle; if the minimum is beyond the next
      * cycle, fast-forward the system over the dead gap (networks
      * advance their internal tick counters arithmetically). Returns
      * the number of cycles skipped (0 when any component has
@@ -209,8 +208,6 @@ class System
     Cycle cycle_ = 0;
     bool cancelled_ = false;
 
-    /** Global time wheel: one consultation epoch per core cycle. */
-    TimeWheel wheel_;
     Cycle cyclesSkipped_ = 0;
 };
 

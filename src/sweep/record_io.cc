@@ -1,26 +1,36 @@
 #include "sweep/record_io.hh"
 
+#include <utility>
+
 namespace eqx {
+
+namespace {
+
+// Energy breakdown rides along under private keys: it is part of
+// RunResult but not of the public sweep JSONL schema, and a cache hit
+// must restore it for benches that read it.
+constexpr std::pair<const char *, double EnergyBreakdown::*>
+    kEnergyKeys[] = {
+        {"_e_buffer", &EnergyBreakdown::buffer},
+        {"_e_crossbar", &EnergyBreakdown::crossbar},
+        {"_e_alloc", &EnergyBreakdown::allocators},
+        {"_e_links", &EnergyBreakdown::links},
+        {"_e_ilinks", &EnergyBreakdown::interposerLinks},
+        {"_e_leak", &EnergyBreakdown::leakage},
+};
+
+} // namespace
 
 std::string
 cellRecordLine(const CellRecord &rec)
 {
-    const RunResult &r = rec.cell.result;
     JsonObject o;
     o.field("_digest", rec.digest.hex())
         .field("_schema", rec.schema)
-        .field("_cell", static_cast<std::uint64_t>(rec.cell.index))
-        // Energy breakdown rides along under private keys: it is part
-        // of RunResult but not of the public sweep JSONL schema, and a
-        // cache hit must restore it for benches that read it.
-        .field("_e_buffer", r.energy.buffer)
-        .field("_e_crossbar", r.energy.crossbar)
-        .field("_e_alloc", r.energy.allocators)
-        .field("_e_links", r.energy.links)
-        .field("_e_ilinks", r.energy.interposerLinks)
-        .field("_e_leak", r.energy.leakage)
-        .merge(cellJsonObject(rec.cell));
-    return o.str();
+        .field("_cell", static_cast<std::uint64_t>(rec.cell.index));
+    for (const auto &[key, part] : kEnergyKeys)
+        o.field(key, rec.cell.result.energy.*part);
+    return o.merge(cellJsonObject(rec.cell)).str();
 }
 
 bool
@@ -36,112 +46,22 @@ parseCellRecord(const std::string &line, CellRecord &out,
         !CellDigest::fromHex(it->second.text, out.digest))
         return false;
     it = f.find("_schema");
-    if (it == f.end() || it->second.kind != JsonValue::Kind::Number)
+    if (it == f.end() || it->second.kind != JsonValue::Kind::Number ||
+        it->second.asI64() != expect_schema)
         return false;
-    out.schema = it->second.asInt();
-    if (out.schema != expect_schema)
-        return false;
-    it = f.find("_cell");
-    if (it == f.end() || it->second.kind != JsonValue::Kind::Number)
-        return false;
-
-    if (!f.count("benchmark") || !f.count("scheme") ||
-        !f.count("completed"))
+    out.schema = expect_schema;
+    auto cell = f.find("_cell");
+    if (cell == f.end() || cell->second.kind != JsonValue::Kind::Number)
         return false;
 
-    auto str = [&](const char *k) {
-        auto i = f.find(k);
-        return i == f.end() ? std::string() : i->second.text;
-    };
-    auto num = [&](const char *k) {
-        auto i = f.find(k);
-        return i == f.end() ? 0.0 : i->second.asDouble();
-    };
-    auto u64 = [&](const char *k) -> std::uint64_t {
-        auto i = f.find(k);
-        return i == f.end() ? 0 : i->second.asU64();
-    };
-    auto boolean = [&](const char *k) {
-        auto i = f.find(k);
-        return i != f.end() && i->second.asBool();
-    };
-
-    CellResult &c = out.cell;
-    c = CellResult{};
-    c.index = static_cast<std::size_t>(f["_cell"].asU64());
-    c.benchmark = str("benchmark");
-    c.scheme = str("scheme");
-    c.failed = boolean("failed");
-    c.attempts = static_cast<int>(u64("attempts"));
-    c.wallMs = num("wall_ms");
-    c.error = str("error");
-
-    RunResult &r = c.result;
-    r.completed = boolean("completed");
-    r.cycles = u64("cycles");
-    r.execNs = num("exec_ns");
-    r.totalInsts = u64("total_insts");
-    r.ipc = num("ipc");
-    r.energyPj = num("energy_pj");
-    r.edp = num("edp");
-    r.areaMm2 = num("area_mm2");
-    r.reqQueueNs = num("req_queue_ns");
-    r.reqNetNs = num("req_net_ns");
-    r.repQueueNs = num("rep_queue_ns");
-    r.repNetNs = num("rep_net_ns");
-    r.reqPackets = u64("req_packets");
-    r.repPackets = u64("rep_packets");
-    r.requestBits = u64("request_bits");
-    r.replyBits = u64("reply_bits");
-    r.reqP50Ns = num("req_p50_ns");
-    r.reqP95Ns = num("req_p95_ns");
-    r.reqP99Ns = num("req_p99_ns");
-    r.repP50Ns = num("rep_p50_ns");
-    r.repP95Ns = num("rep_p95_ns");
-    r.repP99Ns = num("rep_p99_ns");
-    r.maxEirLoadPackets = u64("max_eir_load");
-
-    r.energy.buffer = num("_e_buffer");
-    r.energy.crossbar = num("_e_crossbar");
-    r.energy.allocators = num("_e_alloc");
-    r.energy.links = num("_e_links");
-    r.energy.interposerLinks = num("_e_ilinks");
-    r.energy.leakage = num("_e_leak");
-
-    if (f.count("fault_armed")) {
-        r.faultArmed = boolean("fault_armed");
-        r.degraded = boolean("degraded");
-        r.faultSeqPackets = u64("fault_seq_packets");
-        r.faultDelivered = u64("fault_delivered");
-        r.faultDuplicates = u64("fault_dups");
-        r.faultRetx = u64("fault_retx");
-        r.faultLost = u64("fault_lost");
-        r.faultWormsDropped = u64("fault_worms_dropped");
-        r.faultFlitsDropped = u64("fault_flits_dropped");
-        r.faultCreditsReconciled = u64("fault_credits_reconciled");
-        r.faultMaskedPorts = static_cast<int>(u64("fault_masked_ports"));
-        // delivered_ratio / retx_rate are derived columns; the
-        // re-render recomputes them from the counters above.
+    if (!parseCellJson(f, out.cell))
+        return false;
+    out.cell.index = static_cast<std::size_t>(cell->second.asU64());
+    for (const auto &[key, part] : kEnergyKeys) {
+        it = f.find(key);
+        out.cell.result.energy.*part =
+            it == f.end() ? 0.0 : it->second.asDouble();
     }
-
-    if (f.count("storm_armed")) {
-        r.stormArmed = boolean("storm_armed");
-        r.stormOffered = u64("storm_offered");
-        r.stormInjected = u64("storm_injected");
-        r.stormDelivered = u64("storm_delivered");
-        r.stormDropped = u64("storm_dropped");
-        // delivered_ratio / storm_saturated are derived columns.
-    }
-    if (f.count("coh_armed")) {
-        r.cohArmed = boolean("coh_armed");
-        r.cohInvalidations = u64("coh_invalidations");
-        r.cohInvAcks = u64("coh_inv_acks");
-    }
-
-    for (const auto &[k, v] : f)
-        if (k.size() > 2 && k[0] == 'm' && k[1] == '.')
-            r.metrics.set(k.substr(2), v.asDouble());
-
     return true;
 }
 

@@ -44,9 +44,9 @@ std::string cellRecordLine(const CellRecord &rec);
 
 /**
  * Parse a record line. Returns false on malformed JSON, a missing or
- * malformed `_digest`/`_schema`/`_cell` header, or a schema version
- * other than @p expect_schema — all of which the cache counts as
- * corrupt entries.
+ * malformed `_digest`/`_schema`/`_cell` header, a schema version
+ * other than @p expect_schema, or columns parseCellJson rejects — all
+ * of which the cache counts as corrupt entries.
  */
 bool parseCellRecord(const std::string &line, CellRecord &out,
                      int expect_schema = kSweepSchemaVersion);

@@ -1,25 +1,8 @@
 #include "traffic/traffic_registry.hh"
 
-#include <cctype>
-
-#include "common/logging.hh"
 #include "traffic/registration.hh"
 
 namespace eqx {
-
-namespace {
-
-std::string
-lowered(std::string_view s)
-{
-    std::string out(s);
-    for (char &c : out)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
-} // namespace
 
 TrafficRegistry &
 TrafficRegistry::instance()
@@ -34,63 +17,6 @@ TrafficRegistry::instance()
         return r;
     }();
     return reg;
-}
-
-bool
-TrafficRegistry::add(std::unique_ptr<TrafficModel> model)
-{
-    std::vector<std::string> keys;
-    keys.push_back(lowered(model->name()));
-    for (const auto &a : model->aliases())
-        keys.push_back(lowered(a));
-    for (const auto &k : keys)
-        if (byKey_.count(k))
-            return false;
-
-    const TrafficModel *m = model.get();
-    owned_.push_back(std::move(model));
-    order_.push_back(m);
-    for (const auto &k : keys)
-        byKey_[k] = m;
-    return true;
-}
-
-const TrafficModel *
-TrafficRegistry::find(std::string_view key) const
-{
-    auto it = byKey_.find(lowered(key));
-    return it == byKey_.end() ? nullptr : it->second;
-}
-
-const TrafficModel &
-TrafficRegistry::byName(std::string_view key) const
-{
-    const TrafficModel *m = find(key);
-    if (!m)
-        eqx_fatal("unknown traffic model '", std::string(key),
-                  "'; registered models: ", keyList());
-    return *m;
-}
-
-std::vector<std::string>
-TrafficRegistry::names() const
-{
-    std::vector<std::string> out;
-    for (const TrafficModel *m : order_)
-        out.push_back(m->name());
-    return out;
-}
-
-std::string
-TrafficRegistry::keyList() const
-{
-    std::string out;
-    for (const TrafficModel *m : order_) {
-        if (!out.empty())
-            out += ", ";
-        out += m->name();
-    }
-    return out;
 }
 
 std::vector<std::string>

@@ -1,68 +1,29 @@
 /**
  * @file
- * Process-wide registry of TrafficModels, mirroring the SchemeRegistry
- * contract: case-insensitive string keys (canonical names + aliases),
- * explicit registration in registration.hh order, byName fatal with
- * the registered key list. A default-constructed registry is empty,
- * for tests.
+ * Process-wide registry of TrafficModels: the shared name/alias
+ * registry (common/named_registry.hh), populated in registration.hh
+ * order. A default-constructed registry is empty, for tests.
  */
 
 #ifndef EQX_TRAFFIC_TRAFFIC_REGISTRY_HH
 #define EQX_TRAFFIC_TRAFFIC_REGISTRY_HH
 
-#include <map>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/named_registry.hh"
 #include "traffic/traffic_model.hh"
 
 namespace eqx {
 
-class TrafficRegistry
+class TrafficRegistry : public NamedRegistry<TrafficModel>
 {
   public:
     /** The global registry, populated with every built-in model. */
     static TrafficRegistry &instance();
 
     /** An empty registry (tests build private ones). */
-    TrafficRegistry() = default;
-
-    TrafficRegistry(const TrafficRegistry &) = delete;
-    TrafficRegistry &operator=(const TrafficRegistry &) = delete;
-    TrafficRegistry(TrafficRegistry &&) = default;
-    TrafficRegistry &operator=(TrafficRegistry &&) = default;
-
-    /**
-     * Register a model under its name and aliases. Rejects (returns
-     * false, registers nothing) when any key collides with an earlier
-     * registration.
-     */
-    bool add(std::unique_ptr<TrafficModel> model);
-
-    /** Case-insensitive lookup by name or alias; null when unknown. */
-    const TrafficModel *find(std::string_view key) const;
-
-    /** Like find(), but fatal (listing the registered keys). */
-    const TrafficModel &byName(std::string_view key) const;
-
-    /** Every registered model, in registration order. */
-    const std::vector<const TrafficModel *> &models() const
-    {
-        return order_;
-    }
-
-    /** Canonical names, registration order. */
-    std::vector<std::string> names() const;
-
-    /** "synthetic, storm-diurnal, ..." — for errors and usage. */
-    std::string keyList() const;
-
-  private:
-    std::vector<std::unique_ptr<TrafficModel>> owned_;
-    std::vector<const TrafficModel *> order_;
-    std::map<std::string, const TrafficModel *, std::less<>> byKey_;
+    TrafficRegistry() : NamedRegistry("traffic model", "models") {}
 };
 
 /** Canonical names of every registered traffic model. */

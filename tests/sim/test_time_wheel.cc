@@ -1,9 +1,9 @@
 /**
  * @file
- * Global time wheel (DESIGN.md §14): TimeWheel mechanics, the
- * network's next-due / skip-to arithmetic, and the system-level
- * oracle — a run that fast-forwards over dead cycles must produce a
- * bit-identical RunResult to one that steps every cycle.
+ * Global time wheel (DESIGN.md §14): the network's next-due /
+ * skip-to arithmetic, and the system-level oracle — a run that
+ * fast-forwards over dead cycles must produce a bit-identical
+ * RunResult to one that steps every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -12,55 +12,12 @@
 #include <sstream>
 #include <string>
 
-#include "common/time_wheel.hh"
 #include "fault/fault_model.hh"
 #include "golden.hh"
 #include "sim/system.hh"
 
 namespace eqx {
 namespace {
-
-TEST(TimeWheel, EmptyEpochReportsNever)
-{
-    TimeWheel w;
-    w.beginEpoch(100);
-    EXPECT_TRUE(w.empty());
-    EXPECT_EQ(w.nextDue(), kNeverCycle);
-    w.post(kNeverCycle); // no-op by contract
-    EXPECT_TRUE(w.empty());
-}
-
-TEST(TimeWheel, NearHorizonKeepsMinimum)
-{
-    TimeWheel w;
-    w.beginEpoch(1000);
-    w.post(1040);
-    w.post(1003);
-    w.post(1064); // exactly now + kHorizon: still near
-    EXPECT_EQ(w.nextDue(), 1003u);
-}
-
-TEST(TimeWheel, FarPostsFallBackToMinimum)
-{
-    TimeWheel w;
-    w.beginEpoch(50);
-    w.post(50 + TimeWheel::kHorizon + 200);
-    w.post(50 + TimeWheel::kHorizon + 7);
-    EXPECT_EQ(w.nextDue(), 50 + TimeWheel::kHorizon + 7);
-    // A near post beats any far post.
-    w.post(52);
-    EXPECT_EQ(w.nextDue(), 52u);
-}
-
-TEST(TimeWheel, BeginEpochDropsPriorPosts)
-{
-    TimeWheel w;
-    w.beginEpoch(0);
-    w.post(5);
-    w.beginEpoch(10);
-    EXPECT_EQ(w.nextDue(), kNeverCycle);
-    EXPECT_EQ(w.epoch(), 10u);
-}
 
 /** Network skipTo must advance ticks exactly as stepped cycles do. */
 TEST(TimeWheel, NetworkSkipMatchesSteppedTickCount)

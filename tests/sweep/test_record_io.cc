@@ -95,7 +95,7 @@ TEST(ParseFlatJson, EmptyObjectAndDuplicateKeys)
     EXPECT_TRUE(parseFlatJson("{}", f));
     EXPECT_TRUE(f.empty());
     ASSERT_TRUE(parseFlatJson(R"({"k":1,"k":2})", f));
-    EXPECT_EQ(f["k"].asInt(), 2); // last occurrence wins
+    EXPECT_EQ(f["k"].asI64(), 2); // last occurrence wins
 }
 
 TEST(RecordIO, ExactRoundTrip)
@@ -127,12 +127,16 @@ TEST(RecordIO, ExactRoundTrip)
 
 TEST(RecordIO, StormAndCoherenceGroupsRoundTrip)
 {
-    // The optional storm / coherence field groups restore losslessly
-    // — a cache hit must reproduce a storm run's counters exactly.
+    // The optional storm / coherence field groups, the failure fields
+    // and the private energy parts restore losslessly — a cache hit
+    // must reproduce a storm run's counters exactly.
     CellRecord rec;
     rec.cell = simulatedCell();
     rec.digest = digestBlob("storm-probe\n");
+    rec.cell.failed = true;
+    rec.cell.error = "timed out: \"quoted\" back\\slash\nsecond line";
     RunResult &r = rec.cell.result;
+    r.energy = {1.5, 2.25, 3.125, 4.0625, 5.5, 6.75};
     r.stormArmed = true;
     r.stormOffered = 1000;
     r.stormInjected = 900;
@@ -154,6 +158,14 @@ TEST(RecordIO, StormAndCoherenceGroupsRoundTrip)
     EXPECT_TRUE(b.cohArmed);
     EXPECT_EQ(b.cohInvalidations, 42u);
     EXPECT_EQ(b.cohInvAcks, 42u);
+    EXPECT_TRUE(back.cell.failed);
+    EXPECT_EQ(back.cell.error, rec.cell.error);
+    EXPECT_EQ(b.energy.buffer, 1.5);
+    EXPECT_EQ(b.energy.crossbar, 2.25);
+    EXPECT_EQ(b.energy.allocators, 3.125);
+    EXPECT_EQ(b.energy.links, 4.0625);
+    EXPECT_EQ(b.energy.interposerLinks, 5.5);
+    EXPECT_EQ(b.energy.leakage, 6.75);
     EXPECT_EQ(cellRecordLine(back), line);
 }
 
@@ -177,6 +189,32 @@ TEST(RecordIO, RejectsBadHeaders)
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos + 11, 4, "zzzz");
     EXPECT_FALSE(parseCellRecord(bad, out));
+
+    // Integers that only match after truncation to int are rejected:
+    // a schema of 2^32 + version, and int columns outside int range.
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string s = line;
+        std::size_t at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? s : s.replace(at, from.size(), to);
+    };
+    ASSERT_TRUE(parseCellRecord(line, out));
+    std::string schema =
+        "\"_schema\":" + std::to_string(kSweepSchemaVersion);
+    EXPECT_FALSE(parseCellRecord(
+        replaced(schema, "\"_schema\":" +
+                             std::to_string((std::int64_t{1} << 32) +
+                                            kSweepSchemaVersion)),
+        out));
+    EXPECT_FALSE(parseCellRecord(
+        replaced("\"attempts\":2", "\"attempts\":4294967297"), out));
+    EXPECT_FALSE(parseCellRecord(
+        replaced("\"attempts\":2", "\"attempts\":-2147483649"), out));
+    std::string masked =
+        "\"fault_masked_ports\":" +
+        std::to_string(rec.cell.result.faultMaskedPorts);
+    EXPECT_FALSE(parseCellRecord(
+        replaced(masked, "\"fault_masked_ports\":2147483648"), out));
 }
 
 namespace {
