@@ -76,9 +76,10 @@ try {
     // Search-space coverage (paper: 1.7e10 combinations for 8x8 within
     // 3 hops; MCTS assessed 0.047% of its space).
     EirProblem prob(d.width, d.height, d.cbs, 3, 4);
+    const TileMask none(prob.width(), prob.height());
     double space = 1.0;
     for (int i = 0; i < prob.numCbs(); ++i)
-        space *= static_cast<double>(prob.groupsFor(i, {}).size());
+        space *= static_cast<double>(prob.groupsFor(i, none).size());
     std::printf("\ndesign space (product of per-CB group counts): "
                 "%.3g combinations\n",
                 space);

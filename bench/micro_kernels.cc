@@ -17,6 +17,7 @@
 #include "noc/network.hh"
 #include "noc/topology.hh"
 #include "sim/synthetic.hh"
+#include "eval_reference.hh"
 
 namespace eqx {
 namespace {
@@ -177,14 +178,14 @@ BM_EirEvaluation(benchmark::State &state)
     EirProblem prob(8, 8, cbs, 3, 4);
     EirEvaluator eval(&prob);
     EirSelection sel;
+    TileMask taken(8, 8);
     for (int cb = 0; cb < prob.numCbs(); ++cb) {
-        std::vector<Coord> taken;
-        for (const auto &g : sel)
-            taken.insert(taken.end(), g.begin(), g.end());
         sel.push_back(randomGroup(prob, cb, taken, rng));
+        for (const auto &t : sel.back())
+            taken.add(t);
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(eval.evaluate(sel));
+        benchmark::DoNotOptimize(referenceEvaluate(eval, sel));
 }
 BENCHMARK(BM_EirEvaluation);
 

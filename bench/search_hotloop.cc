@@ -1,15 +1,16 @@
 /**
  * @file
  * Search hot-loop bench: times the EIR evaluation kernels the design
- * searches spend their wall clock in, before (from-scratch
- * EirEvaluator::evaluate) and after (EvalAccumulator O(changed-CB)
- * stepping with the contribution memo), and writes the comparison to
- * BENCH_search_hotloop.json. The CI perf-smoke job asserts the
- * incremental-step speedup floors from that file, so evaluation-path
- * regressions are visible per commit (DESIGN.md §15).
+ * searches spend their wall clock in, before (the from-scratch
+ * referenceEvaluate oracle from tests/core) and after (EvalAccumulator
+ * O(changed-CB) stepping with the contribution memo), and writes the
+ * comparison to BENCH_search_hotloop.json. The CI perf-smoke job
+ * asserts the incremental-step speedup floors from that file, so
+ * evaluation-path regressions are visible per commit (DESIGN.md §15).
  *
  * Kernels, at the paper scale (8x8 mesh, 8 CBs) and at 16x16:
- *   eval_scratch    one from-scratch evaluate() of a full selection
+ *   eval_scratch    one from-scratch referenceEvaluate() of a full
+ *                   selection
  *   eval_incr_step  one annealing-shaped neighbour probe: clear one
  *                   CB's group, set a pooled alternative, score —
  *                   all through the accumulator
@@ -31,6 +32,7 @@
 #include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
 #include "core/search.hh"
+#include "eval_reference.hh"
 
 namespace eqx {
 namespace {
@@ -122,7 +124,7 @@ scratchKernel(ScaleSetup &s, double min_time, double &sink)
                 if (cb == 0)
                     k = (k + 1) % s.pools[0].size();
             }
-            sink += eval.evaluate(sel).score;
+            sink += referenceEvaluate(eval, sel).score;
         },
         min_time);
 }

@@ -6,6 +6,7 @@
  * physical-viability reports, and sweep mesh sizes.
  *
  * Usage: design_explorer [seed=1] [size=8] [iters=600]
+ * (size= is the mesh side, in [3, 1024]: the 8 CBs need room.)
  */
 
 #include <cstdio>
@@ -21,7 +22,12 @@ int
 main(int argc, char **argv)
 try {
     Config cfg = parseCliArgs(argc, argv);
-    int size = static_cast<int>(cfg.getInt("size", 8));
+    long side = cfg.getInt("size", 8);
+    if (side < 3 || side > 1024)
+        eqx_fatal("knob size=", side,
+                  " is not a mesh side for the 8 CBs (want an integer "
+                  "in [3, 1024])");
+    int size = static_cast<int>(side);
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     int iters = static_cast<int>(cfg.getInt("iters", 600));
     cfg.rejectUnused();

@@ -7,10 +7,8 @@
  *
  * All methods score through the incremental EvalAccumulator: a greedy
  * candidate or an annealing neighbour is a push/pop or setGroup away
- * from the previous state, so each probe costs O(changed CB) instead
- * of a from-scratch O(decided x W x H) rebuild. Scores — and hence
- * the selected designs and the evaluation counts — are bit-identical
- * to the from-scratch path (DESIGN.md §15).
+ * from the previous state, so each probe costs O(changed CB), and the
+ * final breakdown is read from the same accumulator (DESIGN.md §15).
  */
 
 #include <algorithm>
@@ -112,7 +110,7 @@ greedySearch(const EirProblem &prob, const EirEvaluator &eval,
         acc.push(cb, std::move(groups[best_idx]));
     }
     result.selection = acc.selection();
-    result.eval = eval.evaluate(result.selection);
+    result.eval = acc.evaluate();
     eqx_assert(prob.valid(result.selection),
                "greedy produced an invalid selection");
     return result;
@@ -159,7 +157,7 @@ polishSelection(const EirProblem &prob, const EirEvaluator &eval,
             break;
     }
     result.selection = acc.selection();
-    result.eval = eval.evaluate(result.selection);
+    result.eval = acc.evaluate();
     eqx_assert(prob.valid(result.selection),
                "polish produced an invalid selection");
     return result;
@@ -304,7 +302,9 @@ geneticSearch(const EirProblem &prob, const EirEvaluator &eval,
         if (ind.score < best->score)
             best = &ind;
     result.selection = best->sel;
-    result.eval = eval.evaluate(result.selection);
+    // Reload the winner to read its breakdown; not a search evaluation.
+    scoreSelection(acc, result.selection);
+    result.eval = acc.evaluate();
     return result;
 }
 

@@ -74,15 +74,6 @@ EirProblem::candidates(int cb_idx) const
 }
 
 std::vector<std::vector<Coord>>
-EirProblem::groupsFor(int cb_idx, const std::vector<Coord> &taken) const
-{
-    TileMask mask(w_, h_);
-    for (const auto &t : taken)
-        mask.add(t);
-    return groupsFor(cb_idx, mask);
-}
-
-std::vector<std::vector<Coord>>
 EirProblem::groupsFor(int cb_idx, const TileMask &taken) const
 {
     const Coord &cb = cbs_[static_cast<std::size_t>(cb_idx)];

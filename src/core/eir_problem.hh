@@ -70,14 +70,10 @@ class EirProblem
      * Enumerate legal groups for CB @p cb_idx, excluding tiles already
      * taken by other groups. Groups satisfy the octant and size rules;
      * the empty group is included last as a fallback (a CB may end up
-     * with no EIR near a crowded boundary). The mask overload is the
-     * hot-loop form; the vector overload flattens into a mask and
-     * enumerates the identical group sequence.
+     * with no EIR near a crowded boundary).
      */
     std::vector<std::vector<Coord>>
     groupsFor(int cb_idx, const TileMask &taken) const;
-    std::vector<std::vector<Coord>>
-    groupsFor(int cb_idx, const std::vector<Coord> &taken) const;
 
     /** Check a full selection against every constraint. */
     bool valid(const EirSelection &sel, std::string *why = nullptr) const;

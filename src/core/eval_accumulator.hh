@@ -1,21 +1,21 @@
 /**
  * @file
- * Incremental evaluation of EIR selections (DESIGN.md §15). A search
- * rollout changes exactly one CB group at a time, yet the from-scratch
- * evaluator rescans the full W x H grid for every decided CB on every
- * call. The accumulator keeps the running totals — per-tile injection
- * loads, hop partial sums, the pairwise crossing count and the link
- * length/reach facts — and updates them in O(changed CB) per push,
- * pop or replace, serving the per-(CB, group) deltas from the
- * evaluator's contribution memo.
+ * Incremental evaluation of EIR selections (DESIGN.md §15), the one
+ * scorer every search uses. A search move changes exactly one CB
+ * group at a time, so the accumulator keeps the running totals —
+ * per-tile injection loads, hop partial sums, the pairwise crossing
+ * count and the link length/reach facts — and updates them in
+ * O(changed CB) per push, pop or replace, serving the per-(CB, group)
+ * deltas from the evaluator's contribution memo.
  *
  * Exactness contract: every accumulated double is a multiple of 0.5
  * far below 2^52, so IEEE addition and subtraction are exact and the
- * totals after any push/pop/setGroup sequence equal the from-scratch
- * sums bit for bit. The final reduction (hot-zone factors, divisions,
- * the weighted score) runs through the same EirEvaluator::finish the
- * from-scratch path uses, over tiles in the same Coord order, so
- * EvalBreakdowns — scores included — are bit-identical doubles.
+ * totals after any push/pop/setGroup sequence equal a from-scratch
+ * sum over the same selection bit for bit. The final reduction
+ * (hot-zone factors, divisions, the weighted score) is
+ * EirEvaluator::finish over tiles in Coord order, so the test suite's
+ * from-scratch oracle (tests/core/eval_reference.hh) reproduces every
+ * EvalBreakdown — scores included — as bit-identical doubles.
  */
 
 #ifndef EQX_CORE_EVAL_ACCUMULATOR_HH
@@ -33,18 +33,16 @@ namespace eqx {
 /**
  * Running evaluation state over a prefix of decided CBs.
  *
- * Decided CBs always form the prefix 0..depth()-1, mirroring the
- * partial-selection semantics of EirEvaluator::evaluate: push() adds
+ * Decided CBs always form the prefix 0..depth()-1: push() adds
  * a group for the next undecided CB, pop() retracts the most recent
  * one (tree-search descend/backtrack), and setGroup() replaces a
  * decided CB's group in place (annealing / polish moves).
  *
- * Undecided CBs carry their empty-group (all-local) contribution, the
- * same reading the from-scratch path gives a selection padded with
- * empty groups: push() swaps a CB's empty contribution for its group
- * contribution, pop() swaps it back. evaluate() at any depth therefore
- * matches evaluate(prefix padded with empty groups) bit for bit, and
- * an untouched accumulator reports the all-local design.
+ * Undecided CBs carry their empty-group (all-local) contribution:
+ * push() swaps a CB's empty contribution for its group contribution,
+ * pop() swaps it back. evaluate() at any depth therefore scores the
+ * prefix padded with empty groups, and an untouched accumulator
+ * reports the all-local design.
  */
 class EvalAccumulator
 {
@@ -84,9 +82,8 @@ class EvalAccumulator
     const TileMask &takenMask() const { return taken_; }
 
     /**
-     * The breakdown of the current prefix; bit-identical to
-     * evaluate(selection()) on the underlying evaluator. O(loaded
-     * tiles + links), independent of W x H.
+     * The breakdown of the current prefix (undecided CBs all-local).
+     * O(loaded tiles + links), independent of W x H.
      */
     EvalBreakdown evaluate() const;
 
@@ -105,8 +102,7 @@ class EvalAccumulator
 
     // Per-tile injection loads, grid-indexed, plus the row-major
     // sorted index list of loaded tiles. Row-major order is exactly
-    // Coord's (y, x) ordering, so iterating active_ visits tiles in
-    // the same order the from-scratch std::map does.
+    // Coord's (y, x) ordering, the order finish() expects.
     std::vector<double> load_;
     std::vector<int> loadCount_;
     std::vector<int> active_;

@@ -1,7 +1,6 @@
 #include "core/evaluation.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.hh"
 #include "core/hotzone.hh"
@@ -15,7 +14,7 @@ EirEvaluator::EirEvaluator(const EirProblem *problem, EvalWeights weights)
     w_ = prob_->width();
     h_ = prob_->height();
 
-    // Selection-independent state, hoisted out of evaluate(): the CB
+    // Selection-independent state, built once per problem: the CB
     // occupancy bitmap and the per-tile hot-zone contention factor
     // (paper Section 3.2.4 — an injection point inside other CBs' hot
     // zones absorbs their surrounding traffic too). Both depend only
@@ -101,77 +100,6 @@ EirEvaluator::finish(const std::vector<std::pair<Coord, double>> &loads,
     return out;
 }
 
-EvalBreakdown
-EirEvaluator::evaluate(const EirSelection &sel) const
-{
-    // Injection-point loads, per tile. Only CBs whose group has been
-    // decided participate, so partial selections judged during search
-    // are not drowned by the still-undecided CBs.
-    std::map<Coord, double> load;
-    double hop_sum = 0;
-    double hop_weight = 0;
-    int decided = std::min<int>(prob_->numCbs(),
-                                static_cast<int>(sel.size()));
-    if (decided == 0)
-        decided = prob_->numCbs(); // empty selection = all-local design
-
-    for (int i = 0; i < decided; ++i) {
-        const Coord &cb = prob_->cbs()[static_cast<std::size_t>(i)];
-        const std::vector<Coord> *group =
-            i < static_cast<int>(sel.size())
-                ? &sel[static_cast<std::size_t>(i)]
-                : nullptr;
-
-        for (int y = 0; y < h_; ++y) {
-            for (int x = 0; x < w_; ++x) {
-                Coord p{x, y};
-                if (isCb(p))
-                    continue;
-                int base = prob_->distance(cb, p);
-
-                // Shortest-path EIRs per the Buffer Selection policy.
-                Coord elig[2];
-                int n_elig = 0;
-                if (group) {
-                    for (const auto &e : *group) {
-                        if (prob_->distance(cb, e) + prob_->distance(e, p) == base &&
-                            n_elig < 2)
-                            elig[n_elig++] = e;
-                    }
-                }
-                bool on_axis = cb.x == p.x || cb.y == p.y;
-                if (n_elig == 0) {
-                    load[cb] += 1.0;
-                    hop_sum += base;
-                } else if (on_axis || n_elig == 1) {
-                    load[elig[0]] += 1.0;
-                    hop_sum += 1 + prob_->distance(elig[0], p);
-                } else {
-                    load[elig[0]] += 0.5;
-                    load[elig[1]] += 0.5;
-                    hop_sum += 0.5 * (1 + prob_->distance(elig[0], p)) +
-                               0.5 * (1 + prob_->distance(elig[1], p));
-                }
-                hop_weight += 1.0;
-            }
-        }
-    }
-
-    std::vector<std::pair<Coord, double>> loads;
-    loads.reserve(load.size());
-    for (const auto &[tile, l] : load)
-        loads.emplace_back(tile, l);
-
-    LinkPlan plan = prob_->linkPlan(sel);
-    int over_reach = 0;
-    for (const auto &link : plan.links())
-        if (link.hops() > kReachHops)
-            ++over_reach;
-
-    return finish(loads, hop_sum, hop_weight, plan.crossings(),
-                  plan.totalLengthHops(), plan.size(), over_reach);
-}
-
 void
 EirEvaluator::computeContribution(int cb_idx,
                                   const std::vector<Coord> &group,
@@ -188,16 +116,17 @@ EirEvaluator::computeContribution(int cb_idx,
 
     // One load slot per group tile plus one for the CB itself; only
     // slots that actually receive flow survive into out.loads, so the
-    // combined per-tile map has exactly the entries the from-scratch
-    // std::map would (the entry count feeds the mean-load divisor).
+    // combined per-tile set holds exactly the loaded tiles (the entry
+    // count feeds the mean-load divisor).
     std::vector<EvalContribution::TileLoad> slots(group.size() + 1);
     for (std::size_t g = 0; g < group.size(); ++g)
         slots[g].tile = group[g];
     slots.back().tile = cb;
 
-    // The same tile loop as evaluate(), restricted to this CB. All
-    // increments are multiples of 0.5 well below 2^52, so the partial
-    // sums are exact and combine order-independently.
+    // Every non-CB tile sends its flow through this CB's Buffer
+    // Selection choice. All increments are multiples of 0.5 well below
+    // 2^52, so the partial sums are exact and combine
+    // order-independently.
     for (int y = 0; y < h_; ++y) {
         for (int x = 0; x < w_; ++x) {
             Coord p{x, y};

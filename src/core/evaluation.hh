@@ -6,13 +6,12 @@
  * single score (lower is better). The load/hop estimates follow the
  * Buffer Selection policy exactly, assuming uniform per-PE demand.
  *
- * Two evaluation paths share the same arithmetic (DESIGN.md §15):
- * `evaluate()` is the from-scratch reference (O(decided x W x H)),
- * and `EvalAccumulator` (eval_accumulator.hh) scores near-identical
- * selections in O(changed CBs) by combining memoized per-(CB, group)
- * contributions. Every partial quantity the two paths accumulate is
- * an exactly-representable multiple of 0.5, so the paths agree on
- * every metric bit for bit — not approximately.
+ * The evaluator holds the selection-independent state and serves
+ * memoized per-(CB, group) contributions; `EvalAccumulator`
+ * (eval_accumulator.hh) is the one scorer, combining those
+ * contributions in O(changed CBs) and ending in finish() (DESIGN.md
+ * §15). Every partial quantity is an exactly-representable multiple
+ * of 0.5, so the totals are exact and order-independent.
  */
 
 #ifndef EQX_CORE_EVALUATION_HH
@@ -82,7 +81,8 @@ struct EvalContribution
 };
 
 /**
- * Evaluates (partial or full) EIR selections for one problem.
+ * Scoring context for one problem: what every EvalAccumulator over it
+ * shares.
  *
  * All selection-independent state — the CB occupancy bitmap, the
  * hot-zone contention factors, and the normalizers — is built once in
@@ -101,20 +101,6 @@ class EirEvaluator
 
     explicit EirEvaluator(const EirProblem *problem,
                           EvalWeights weights = {});
-
-    /**
-     * Evaluate a selection from scratch. Partial selections (fewer
-     * groups than CBs) are allowed during search: missing CBs inject
-     * locally only. This is the reference path the incremental
-     * accumulator is tested bit-identical against.
-     */
-    EvalBreakdown evaluate(const EirSelection &sel) const;
-
-    /** Score only (convenience for the search loops). */
-    double score(const EirSelection &sel) const
-    {
-        return evaluate(sel).score;
-    }
 
     /**
      * CB @p cb_idx's contribution when assigned @p group (group order
@@ -148,9 +134,20 @@ class EirEvaluator
     std::uint64_t memoMisses() const { return memoMisses_; }
     std::size_t memoEntries() const { return memo_.size(); }
 
-  private:
-    friend class EvalAccumulator;
+    /**
+     * The final reduction: per-tile loads (in Coord order, only
+     * actually-loaded tiles) through the contention factors into
+     * maxLoad / mean load, plus the normalized score. The accumulator
+     * and the test-side from-scratch oracle both end here, so a
+     * bit-identical input yields a bit-identical EvalBreakdown.
+     */
+    EvalBreakdown
+    finish(const std::vector<std::pair<Coord, double>> &loads,
+           double hop_sum, double hop_weight, int crossings,
+           double total_length, std::size_t num_links,
+           int over_reach) const;
 
+  private:
     /** Contribution cache cap; beyond it, misses compute into scratch. */
     static constexpr std::size_t kMemoCap = 1u << 18;
 
@@ -188,19 +185,6 @@ class EirEvaluator
     /** Compute a contribution without touching the memo. */
     void computeContribution(int cb_idx, const std::vector<Coord> &group,
                              EvalContribution &out) const;
-
-    /**
-     * The shared final reduction: per-tile loads (in Coord order, the
-     * same order the from-scratch std::map iterates) through the
-     * contention factors into maxLoad / mean load, plus the
-     * normalized score. Both evaluation paths end here, so a
-     * bit-identical input yields a bit-identical EvalBreakdown.
-     */
-    EvalBreakdown
-    finish(const std::vector<std::pair<Coord, double>> &loads,
-           double hop_sum, double hop_weight, int crossings,
-           double total_length, std::size_t num_links,
-           int over_reach) const;
 
     const EirProblem *prob_;
     EvalWeights weights_;

@@ -6,11 +6,10 @@
  *
  * The search threads one EvalAccumulator down the tree — groups are
  * pushed on descend/expansion/rollout and popped on backtrack — so a
- * full rollout costs O(changed CBs) evaluator work instead of an
- * O(decided x W x H) from-scratch rebuild, and the accumulator's
- * taken-mask replaces the former O(depth^2) takenOf() flattening.
- * Scores are bit-identical to the from-scratch evaluator, so the
- * selected designs are unchanged (see DESIGN.md §15).
+ * full rollout costs O(changed CBs) evaluator work, and the
+ * accumulator's taken-mask tracks which tiles are spoken for. The
+ * committed selection's breakdown is read from the same accumulator
+ * (see DESIGN.md §15).
  */
 
 #include <algorithm>
@@ -79,16 +78,6 @@ randomGroup(const EirProblem &prob, int cb_idx, const TileMask &taken,
         group.push_back(opts[rng.nextBounded(opts.size())]);
     }
     return group;
-}
-
-std::vector<Coord>
-randomGroup(const EirProblem &prob, int cb_idx,
-            const std::vector<Coord> &taken, Rng &rng, double take_prob)
-{
-    TileMask mask(prob.width(), prob.height());
-    for (const auto &t : taken)
-        mask.add(t);
-    return randomGroup(prob, cb_idx, mask, rng, take_prob);
 }
 
 SearchResult
@@ -195,7 +184,7 @@ mctsSearch(const EirProblem &prob, const EirEvaluator &eval,
     }
 
     result.selection = acc.selection();
-    result.eval = eval.evaluate(result.selection);
+    result.eval = acc.evaluate();
     eqx_assert(prob.valid(result.selection),
                "MCTS produced an invalid selection");
     return result;

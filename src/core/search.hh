@@ -31,17 +31,11 @@ struct SearchResult
 /**
  * Pick a uniformly random legal group for one CB: visit the direction
  * octants in random order, taking a random free candidate from each
- * with probability take_prob, up to the group-size limit. The mask
- * overload is the hot-loop form (O(1) taken tests against an
- * incrementally maintained mask, e.g. EvalAccumulator::takenMask());
- * the vector overload flattens into a mask first and draws the same
- * groups from the same Rng stream.
+ * with probability take_prob, up to the group-size limit. Taken tests
+ * are O(1) against a mask, e.g. EvalAccumulator::takenMask().
  */
 std::vector<Coord> randomGroup(const EirProblem &prob, int cb_idx,
                                const TileMask &taken, Rng &rng,
-                               double take_prob = 0.85);
-std::vector<Coord> randomGroup(const EirProblem &prob, int cb_idx,
-                               const std::vector<Coord> &taken, Rng &rng,
                                double take_prob = 0.85);
 
 /** Parameters of the MCTS search. */

@@ -373,21 +373,12 @@ Network::internalTick()
     // NI pass with inline deregistration: an idle NI (nothing queued,
     // mid-serialization, delivered or awaiting reassembly) is a no-op
     // until inject()/acceptEjectedFlit() re-activates it.
-    for (std::size_t w = 0; w < activeNis_.size(); ++w) {
-        std::uint64_t processed = 0;
-        for (;;) {
-            std::uint64_t pending = activeNis_[w] & ~processed;
-            if (!pending)
-                break;
-            int b = std::countr_zero(pending);
-            std::uint64_t bit = std::uint64_t{1} << b;
-            processed |= bit;
-            auto &ni = nis_[(w << 6) + static_cast<std::size_t>(b)];
-            ni->tick(tick_, coreCycle_);
-            if (ni->idle())
-                activeNis_[w] &= ~bit;
-        }
-    }
+    forEachSetBitLive(activeNis_, [&](std::size_t i) {
+        auto &ni = *nis_[i];
+        ni.tick(tick_, coreCycle_);
+        if (ni.idle())
+            activeNis_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    });
 }
 
 void
@@ -633,23 +624,23 @@ Network::exportStats(StatGroup &sg, const std::string &prefix) const
         setAt(rk, "residence_mean", r.residenceStat().mean());
         int nth[4] = {0, 0, 0, 0};
         for (int p = 0; p < r.numInputPorts(); ++p) {
-            const auto &ip = r.inputPort(p);
+            const Router::PortView ip = r.inputPort(p);
             int k = static_cast<int>(ip.kind);
             key.resize(rk);
             key += "in.";
             appendPortLabel(key, ip.kind, ip.dir, nth[k]++);
             key += ".flits";
-            emit(static_cast<double>(ip.flitsAccepted));
+            emit(static_cast<double>(ip.flits));
         }
         nth[0] = nth[1] = nth[2] = nth[3] = 0;
         for (int p = 0; p < r.numOutputPorts(); ++p) {
-            const auto &op = r.outputPort(p);
+            const Router::PortView op = r.outputPort(p);
             int k = static_cast<int>(op.kind);
             key.resize(rk);
             key += "out.";
             appendPortLabel(key, op.kind, op.dir, nth[k]++);
             key += ".flits";
-            emit(static_cast<double>(op.flitsSent));
+            emit(static_cast<double>(op.flits));
         }
     }
 

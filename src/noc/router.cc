@@ -28,13 +28,7 @@ Router::addInputPort(PortKind kind, Dir dir, Channel<Credit> *credit_up)
                        static_cast<std::size_t>(params_->vcsPerPort) <=
                    kMaxInVcs,
                "pending-VC bitmasks support at most 64 input VCs");
-    InputPort p;
-    p.kind = kind;
-    p.dir = dir;
-    p.vcs.assign(static_cast<std::size_t>(params_->vcsPerPort),
-                 VcBuffer(params_->vcDepthFlits));
-    p.creditUp = credit_up;
-    inputs_.push_back(std::move(p));
+    inputs_.push_back({kind, dir});
     int idx = static_cast<int>(inputs_.size()) - 1;
     creditUp_[idx] = credit_up;
     flitStore_.resize(inputs_.size() *
@@ -55,13 +49,7 @@ Router::addOutputPort(PortKind kind, Dir dir, Channel<Flit> *out,
                        static_cast<std::size_t>(params_->vcsPerPort) <=
                    kMaxOutVcs,
                "flat output-VC state supports at most 64 output VCs");
-    OutputPort p;
-    p.kind = kind;
-    p.dir = dir;
-    p.out = out;
-    p.interposer = interposer;
-    p.vcs.assign(static_cast<std::size_t>(params_->vcsPerPort), OutputVc{});
-    outputs_.push_back(std::move(p));
+    outputs_.push_back({kind, dir});
     int idx = static_cast<int>(outputs_.size()) - 1;
     // Every downstream VC buffer is vcDepthFlits deep (Network
     // validates the byte-wide range), so each output VC starts free.
@@ -644,57 +632,34 @@ Router::resetStats(Cycle now)
     }
 }
 
-void
-Router::syncInputPort(int i) const
-{
-    auto &ip = const_cast<Router *>(this)
-                   ->inputs_[static_cast<std::size_t>(i)];
-    int v = params_->vcsPerPort;
-    ip.flitsAccepted = inFlitsAccepted_[i];
-    for (int vi = 0; vi < v; ++vi) {
-        int flat = i * v + vi;
-        auto &vcb = ip.vcs[static_cast<std::size_t>(vi)];
-        vcb.state = vc_[flat].state;
-        if (vc_[flat].state == VcState::Active) {
-            vcb.outPort = vc_[flat].outPort;
-            vcb.outVc = vc_[flat].outFlat - vc_[flat].outPort * v;
-        } else {
-            vcb.outPort = -1;
-            vcb.outVc = -1;
-        }
-        vcb.routeCandidates.clear();
-        if (vc_[flat].state != VcState::Idle)
-            for (int c = 0; c < vc_[flat].candCount; ++c)
-                vcb.routeCandidates.push_back(vc_[flat].cand[c]);
-    }
-}
-
-void
-Router::syncOutputPort(int i) const
-{
-    auto &op = const_cast<Router *>(this)
-                   ->outputs_[static_cast<std::size_t>(i)];
-    int v = params_->vcsPerPort;
-    op.flitsSent = outFlitsSent_[i];
-    for (int vi = 0; vi < v; ++vi) {
-        auto &ovc = op.vcs[static_cast<std::size_t>(vi)];
-        ovc.credits = outCredits_[i * v + vi];
-        ovc.busy = outBusy_[i * v + vi] != 0;
-    }
-}
-
-const Router::InputPort &
+Router::PortView
 Router::inputPort(int i) const
 {
-    syncInputPort(i);
-    return inputs_[static_cast<std::size_t>(i)];
+    const PortWiring &w = inputs_[static_cast<std::size_t>(i)];
+    return {w.kind, w.dir, inFlitsAccepted_[i]};
 }
 
-const Router::OutputPort &
+Router::PortView
 Router::outputPort(int i) const
 {
-    syncOutputPort(i);
-    return outputs_[static_cast<std::size_t>(i)];
+    const PortWiring &w = outputs_[static_cast<std::size_t>(i)];
+    return {w.kind, w.dir, outFlitsSent_[i]};
+}
+
+Router::VcView
+Router::inputVc(int port, int vc) const
+{
+    int v = params_->vcsPerPort;
+    const VcLane &lane = vc_[port * v + vc];
+    VcView view;
+    view.state = lane.state;
+    if (lane.state != VcState::Idle)
+        view.routeCandidates.assign(lane.cand, lane.cand + lane.candCount);
+    if (lane.state == VcState::Active) {
+        view.outPort = lane.outPort;
+        view.outVc = lane.outFlat - lane.outPort * v;
+    }
+    return view;
 }
 
 bool

@@ -23,9 +23,16 @@
 #include "noc/packet.hh"
 #include "noc/params.hh"
 #include "noc/topology.hh"
-#include "noc/vc_buffer.hh"
 
 namespace eqx {
+
+/** Allocation state of one input VC. */
+enum class VcState : std::uint8_t
+{
+    Idle,           ///< no packet resident
+    RouteComputed,  ///< head flit routed, waiting for VC allocation
+    Active,         ///< output VC granted, flits competing for the switch
+};
 
 /** What a router port connects to. */
 enum class PortKind : std::uint8_t
@@ -75,30 +82,28 @@ struct NetworkActivity
  *
  * All state the pipeline stages read or write lives in flat
  * struct-of-arrays members inside the Router object itself
- * (DESIGN.md §14); the InputPort/OutputPort structs are observability
- * views refreshed from the SoA state when an accessor is called, so
- * the hot path never touches them.
+ * (DESIGN.md §14), and nowhere else: the port and VC views below are
+ * computed from it by value on each accessor call.
  */
 class Router
 {
   public:
-    struct InputPort
+    /** A port's wiring and flit count: flits accepted on an input
+     *  port, flits driven onto the link by an output port. */
+    struct PortView
     {
         PortKind kind = PortKind::Geo;
-        Dir dir = Dir::Local;          ///< for Geo: which neighbour side
-        std::vector<VcBuffer> vcs;     ///< view: state/route/grant only
-        Channel<Credit> *creditUp = nullptr; ///< credits back upstream
-        std::uint64_t flitsAccepted = 0; ///< flits received on this port
+        Dir dir = Dir::Local; ///< for Geo: which neighbour side
+        std::uint64_t flits = 0;
     };
 
-    struct OutputPort
+    /** One input VC's allocation state (tests). */
+    struct VcView
     {
-        PortKind kind = PortKind::Geo;
-        Dir dir = Dir::Local;
-        std::vector<OutputVc> vcs;     ///< view: busy/credits
-        Channel<Flit> *out = nullptr;  ///< flits downstream
-        bool interposer = false;       ///< counts as interposer traversal
-        std::uint64_t flitsSent = 0;   ///< flits driven onto the link
+        VcState state = VcState::Idle;
+        std::vector<int> routeCandidates; ///< output ports; none if Idle
+        int outPort = -1;                 ///< granted port once Active
+        int outVc = -1;                   ///< granted VC once Active
     };
 
     /** Pending-VC bitmasks cover at most this many input VCs (and,
@@ -125,9 +130,16 @@ class Router
 
     int numInputPorts() const { return static_cast<int>(inputs_.size()); }
     int numOutputPorts() const { return static_cast<int>(outputs_.size()); }
-    /** Observability views; synced from the SoA state on access. */
-    const InputPort &inputPort(int i) const;
-    const OutputPort &outputPort(int i) const;
+    /** Observability views, computed from the SoA state. */
+    PortView inputPort(int i) const;
+    PortView outputPort(int i) const;
+    VcView inputVc(int port, int vc) const;
+    /** True while a packet owns downstream VC @p vc of @p port. */
+    bool
+    outputVcBusy(int port, int vc) const
+    {
+        return outBusy_[port * params_->vcsPerPort + vc] != 0;
+    }
 
     /** Deliver a flit arriving on an input port (from a channel). */
     void acceptFlit(int in_port, Flit f, Cycle now);
@@ -264,18 +276,20 @@ class Router
     bool chooseVcRequest(int flat, Cycle now, int &req_port,
                          int &req_vc) const;
 
-    /** Refresh one observability view from the SoA state. */
-    void syncInputPort(int i) const;
-    void syncOutputPort(int i) const;
-
     NodeId id_;
     const Topology *topo_;
     const NocParams *params_;
     NetworkActivity *activity_;
     Coord coord_;
 
-    std::vector<InputPort> inputs_;
-    std::vector<OutputPort> outputs_;
+    /** Port wiring facts, by port index. */
+    struct PortWiring
+    {
+        PortKind kind;
+        Dir dir;
+    };
+    std::vector<PortWiring> inputs_;
+    std::vector<PortWiring> outputs_;
     std::vector<int> ejPorts_;
 
     // ---- Packed pipeline state (DESIGN.md §14) ----
@@ -399,7 +413,7 @@ class Router
      *  upstream credit channel (SA send / credit-return paths). */
     Channel<Flit> *outChan_[kMaxOutPorts] = {};
     Channel<Credit> *creditUp_[kMaxInPorts] = {};
-    /** Per-port flit counters (exported via the port views). */
+    /** Per-port flit counters (read through the port views). */
     std::uint64_t inFlitsAccepted_[kMaxInPorts] = {};
     std::uint64_t outFlitsSent_[kMaxOutPorts] = {};
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Per-VC input buffer and its allocation state machine. Buffers are
- * atomic (one packet at a time), matching the paper's 1 pkt/VC
- * configuration.
+ * Per-VC flit FIFO of the NI ejection ports. Router input VCs keep
+ * their flits and allocation state in the router's own lanes
+ * (router.hh).
  */
 
 #ifndef EQX_NOC_VC_BUFFER_HH
@@ -15,19 +15,10 @@
 
 namespace eqx {
 
-/** Allocation state of one input VC. */
-enum class VcState : std::uint8_t
-{
-    Idle,           ///< no packet resident
-    RouteComputed,  ///< head flit routed, waiting for VC allocation
-    Active,         ///< output VC granted, flits competing for the switch
-};
-
 /**
- * One virtual-channel FIFO plus routing/allocation bookkeeping. The
- * FIFO is a fixed ring sized to the buffer depth — the flow-control
- * bound — so the hot push/front/pop path is plain indexed moves with
- * no node or block allocation.
+ * One virtual-channel FIFO. It is a fixed ring sized to the buffer
+ * depth — the flow-control bound — so the hot push/front/pop path is
+ * plain indexed moves with no node or block allocation.
  */
 class VcBuffer
 {
@@ -71,35 +62,11 @@ class VcBuffer
     int occupancy() const { return count_; }
     int depth() const { return depth_; }
 
-    VcState state = VcState::Idle;
-
-    /** Route candidates computed by RC (output port indices). */
-    std::vector<int> routeCandidates;
-    /** Granted output port / VC once Active. */
-    int outPort = -1;
-    int outVc = -1;
-
-    void
-    release()
-    {
-        state = VcState::Idle;
-        routeCandidates.clear();
-        outPort = -1;
-        outVc = -1;
-    }
-
   private:
     int depth_;
     int head_ = 0;
     int count_ = 0;
     std::vector<Flit> fifo_;
-};
-
-/** Output-side VC bookkeeping: busy flag and downstream credits. */
-struct OutputVc
-{
-    bool busy = false;  ///< a packet currently owns this downstream VC
-    int credits = 0;    ///< free slots in the downstream input buffer
 };
 
 } // namespace eqx

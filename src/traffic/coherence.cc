@@ -54,13 +54,6 @@ class CoherenceModel final : public TrafficModel
         return {"mesi"};
     }
 
-    std::string
-    describe() const override
-    {
-        return "closed-loop streams plus CB sharer-set directories: "
-               "writes multicast Invalidates, sharers answer InvAcks";
-    }
-
     std::unique_ptr<TrafficInstance>
     build(const TrafficBuild &b) const override
     {

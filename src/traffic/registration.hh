@@ -1,8 +1,8 @@
 /**
  * @file
- * Registration hooks of the built-in traffic models, one translation
- * unit per model (the SchemeRegistry pattern): the registry calls
- * these explicitly instead of relying on static-initializer order.
+ * Registration hooks of the built-in traffic models (the
+ * SchemeRegistry pattern): the registry calls these explicitly
+ * instead of relying on static-initializer order.
  */
 
 #ifndef EQX_TRAFFIC_REGISTRATION_HH
@@ -12,11 +12,10 @@ namespace eqx {
 
 class TrafficRegistry;
 
-void registerSyntheticTraffic(TrafficRegistry &r);   // synthetic.cc
-void registerStormDiurnalTraffic(TrafficRegistry &r); // storm_diurnal.cc
-void registerStormFlashTraffic(TrafficRegistry &r);   // storm_flash.cc
-void registerStormHotspotTraffic(TrafficRegistry &r); // storm_hotspot.cc
-void registerCoherenceTraffic(TrafficRegistry &r);    // coherence.cc
+void registerSyntheticTraffic(TrafficRegistry &r); // synthetic.cc
+/** storm-diurnal, storm-flash, storm-hotspot, in that order. */
+void registerStormTraffic(TrafficRegistry &r);     // storm.cc
+void registerCoherenceTraffic(TrafficRegistry &r); // coherence.cc
 
 } // namespace eqx
 

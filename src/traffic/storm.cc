@@ -2,6 +2,8 @@
 
 #include "common/logging.hh"
 #include "runner/stream_seed.hh"
+#include "traffic/registration.hh"
+#include "traffic/traffic_registry.hh"
 
 namespace eqx {
 
@@ -116,22 +118,79 @@ StormEndpoint::accept(const PacketPtr &pkt, Cycle)
     --outstanding_;
 }
 
-StormInstance::StormInstance(const TrafficBuild &b, StormShape shape)
-    : tc_(b.traffic), seed_(b.seed), shape_(shape)
-{
-}
+namespace {
 
-std::unique_ptr<StormEndpoint>
-StormInstance::makeEndpoint(int, NodeId node, PacketInjector *inj,
-                            const AddressMap *amap,
-                            const PacketSizes *sizes)
+/** One run of a storm model: per-tile endpoints of one shape. */
+class StormInstance final : public TrafficInstance
 {
-    // Per-node decorrelated stream, hashed (not forked) so the arrival
-    // pattern is independent of endpoint construction order.
-    return std::make_unique<StormEndpoint>(
-        node, shape_, tc_,
-        deriveStreamSeed(seed_, "storm", static_cast<std::uint64_t>(node)),
-        inj, amap, sizes);
+  public:
+    StormInstance(const TrafficBuild &b, StormShape shape)
+        : tc_(b.traffic), seed_(b.seed), shape_(shape)
+    {
+    }
+
+    bool openLoop() const override { return true; }
+
+    std::unique_ptr<StormEndpoint>
+    makeEndpoint(int, NodeId node, PacketInjector *inj,
+                 const AddressMap *amap, const PacketSizes *sizes) override
+    {
+        // Per-node decorrelated stream, hashed (not forked) so the
+        // arrival pattern is independent of endpoint construction
+        // order.
+        return std::make_unique<StormEndpoint>(
+            node, shape_, tc_,
+            deriveStreamSeed(seed_, "storm",
+                             static_cast<std::uint64_t>(node)),
+            inj, amap, sizes);
+    }
+
+  private:
+    TrafficConfig tc_;
+    std::uint64_t seed_;
+    StormShape shape_;
+};
+
+/** A storm-* traffic model: one StormShape under its registry names. */
+class StormModel final : public TrafficModel
+{
+  public:
+    StormModel(std::string name, std::vector<std::string> aliases,
+               StormShape shape)
+        : name_(std::move(name)), aliases_(std::move(aliases)),
+          shape_(shape)
+    {
+    }
+
+    std::string name() const override { return name_; }
+    std::vector<std::string> aliases() const override { return aliases_; }
+
+    std::unique_ptr<TrafficInstance>
+    build(const TrafficBuild &b) const override
+    {
+        return std::make_unique<StormInstance>(b, shape_);
+    }
+
+  private:
+    std::string name_;
+    std::vector<std::string> aliases_;
+    StormShape shape_;
+};
+
+} // namespace
+
+void
+registerStormTraffic(TrafficRegistry &r)
+{
+    r.add(std::make_unique<StormModel>(
+        "storm-diurnal", std::vector<std::string>{"diurnal"},
+        StormShape::Diurnal));
+    r.add(std::make_unique<StormModel>(
+        "storm-flash", std::vector<std::string>{"flash", "flash-crowd"},
+        StormShape::Flash));
+    r.add(std::make_unique<StormModel>(
+        "storm-hotspot", std::vector<std::string>{"hotspot"},
+        StormShape::Hotspot));
 }
 
 } // namespace eqx

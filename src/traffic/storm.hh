@@ -97,25 +97,6 @@ class StormEndpoint final : public PacketSink
     std::uint64_t dropped_ = 0;
 };
 
-/** TrafficInstance shared by the three storm model TUs. */
-class StormInstance final : public TrafficInstance
-{
-  public:
-    StormInstance(const TrafficBuild &b, StormShape shape);
-
-    bool openLoop() const override { return true; }
-
-    std::unique_ptr<StormEndpoint>
-    makeEndpoint(int pe_index, NodeId node, PacketInjector *inj,
-                 const AddressMap *amap,
-                 const PacketSizes *sizes) override;
-
-  private:
-    TrafficConfig tc_;
-    std::uint64_t seed_;
-    StormShape shape_;
-};
-
 } // namespace eqx
 
 #endif // EQX_TRAFFIC_STORM_HH

@@ -45,13 +45,6 @@ class SyntheticModel final : public TrafficModel
         return {"default"};
     }
 
-    std::string
-    describe() const override
-    {
-        return "closed-loop per-PE synthetic streams (the workload "
-               "profiles; the legacy default)";
-    }
-
     std::unique_ptr<TrafficInstance>
     build(const TrafficBuild &b) const override
     {

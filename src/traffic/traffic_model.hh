@@ -69,9 +69,6 @@ class TrafficModel
     /** Extra lookup keys (case-insensitive, like the name). */
     virtual std::vector<std::string> aliases() const { return {}; }
 
-    /** One-line description for usage text. */
-    virtual std::string describe() const = 0;
-
     /** Instantiate for one run. */
     virtual std::unique_ptr<TrafficInstance>
     build(const TrafficBuild &b) const = 0;

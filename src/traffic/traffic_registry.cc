@@ -10,9 +10,7 @@ TrafficRegistry::instance()
     static TrafficRegistry reg = [] {
         TrafficRegistry r;
         registerSyntheticTraffic(r);
-        registerStormDiurnalTraffic(r);
-        registerStormFlashTraffic(r);
-        registerStormHotspotTraffic(r);
+        registerStormTraffic(r);
         registerCoherenceTraffic(r);
         return r;
     }();

@@ -57,7 +57,7 @@ TEST(EirProblem, CandidatesAvoidOwnHotZoneAndCbs)
 TEST(EirProblem, GroupsObeyOctantAndSizeRules)
 {
     EirProblem prob(8, 8, spreadCbs(), 3, 4);
-    auto groups = prob.groupsFor(3, {});
+    auto groups = prob.groupsFor(3, TileMask(8, 8));
     ASSERT_FALSE(groups.empty());
     const Coord &cb = prob.cbs()[3];
     for (const auto &g : groups) {
@@ -76,7 +76,9 @@ TEST(EirProblem, GroupsExcludeTakenTiles)
     auto all = prob.candidates(3);
     ASSERT_FALSE(all.empty());
     Coord taken = all.front();
-    auto groups = prob.groupsFor(3, {taken});
+    TileMask mask(8, 8);
+    mask.add(taken);
+    auto groups = prob.groupsFor(3, mask);
     for (const auto &g : groups)
         for (const auto &e : g)
             EXPECT_FALSE(e == taken);
@@ -85,15 +87,13 @@ TEST(EirProblem, GroupsExcludeTakenTiles)
 TEST(EirProblem, ValidAcceptsLegalSelection)
 {
     EirProblem prob(8, 8, spreadCbs(), 3, 4);
-    EirSelection sel;
-    for (int i = 0; i < prob.numCbs(); ++i)
-        sel.push_back(prob.groupsFor(i, {}).front());
     // Front groups may conflict across CBs; build incrementally.
-    sel.clear();
-    std::vector<Coord> taken;
+    EirSelection sel;
+    TileMask taken(8, 8);
     for (int i = 0; i < prob.numCbs(); ++i) {
         auto g = prob.groupsFor(i, taken).front();
-        taken.insert(taken.end(), g.begin(), g.end());
+        for (const auto &t : g)
+            taken.add(t);
         sel.push_back(std::move(g));
     }
     std::string why;

@@ -1,8 +1,8 @@
 /**
  * @file
  * The incremental-evaluation contract: EvalAccumulator scores must be
- * bit-identical doubles to the from-scratch EirEvaluator::evaluate()
- * path, at every prefix, under push/pop backtracking, under setGroup
+ * bit-identical doubles to the from-scratch referenceEvaluate()
+ * oracle, at every prefix, under push/pop backtracking, under setGroup
  * in-place replacement, and regardless of whether a contribution is
  * served from the memo or recomputed (DESIGN.md §15).
  *
@@ -16,6 +16,7 @@
 #include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
 #include "core/search.hh"
+#include "eval_reference.hh"
 
 namespace eqx {
 namespace {
@@ -72,7 +73,8 @@ checkScale(int n, int num_cbs, int rounds)
             // CBs = empty groups, exactly like the accumulator).
             EirSelection prefix(sel.begin(), sel.begin() + cb + 1);
             prefix.resize(static_cast<std::size_t>(prob.numCbs()));
-            expectSameBreakdown(acc.evaluate(), eval.evaluate(prefix));
+            expectSameBreakdown(acc.evaluate(),
+                                referenceEvaluate(eval, prefix));
         }
     }
 }
@@ -132,7 +134,8 @@ TEST(EvalIncremental, SetGroupRevertIsBitExact)
     std::vector<Coord> old_group = acc.group(3);
     acc.setGroup(3, {});
     acc.setGroup(3, randomGroup(prob, 3, acc.takenMask(), rng));
-    EXPECT_EQ(acc.evaluate().score, eval.evaluate(acc.selection()).score);
+    EXPECT_EQ(acc.evaluate().score,
+              referenceEvaluate(eval, acc.selection()).score);
     acc.setGroup(3, old_group);
     EXPECT_EQ(acc.score(), before);
 }
@@ -167,9 +170,9 @@ TEST(EvalIncremental, EmptyAccumulatorMatchesEmptySelections)
     EirEvaluator eval(&prob);
     EvalAccumulator acc(&eval);
 
-    EvalBreakdown scratch_sized =
-        eval.evaluate(EirSelection(static_cast<std::size_t>(prob.numCbs())));
-    EvalBreakdown scratch_empty = eval.evaluate(EirSelection{});
+    EvalBreakdown scratch_sized = referenceEvaluate(
+        eval, EirSelection(static_cast<std::size_t>(prob.numCbs())));
+    EvalBreakdown scratch_empty = referenceEvaluate(eval, EirSelection{});
     expectSameBreakdown(acc.evaluate(), scratch_sized);
     expectSameBreakdown(acc.evaluate(), scratch_empty);
 
@@ -185,20 +188,25 @@ TEST(EvalIncremental, EmptyAccumulatorMatchesEmptySelections)
 
 TEST(EvalIncremental, SearchMethodsAgreeWithFromScratchFinalEval)
 {
-    // The converted search methods re-evaluate their final selection
-    // from scratch; accumulator scoring must have led them to a
-    // selection whose from-scratch score matches what they tracked.
+    // Every search reads its final breakdown from its accumulator; the
+    // from-scratch oracle must score the reported selection the same.
     EirProblem prob = paperProblem(8, 8);
     EirEvaluator eval(&prob);
 
     SearchResult g = greedySearch(prob, eval);
-    EXPECT_EQ(g.eval.score, eval.evaluate(g.selection).score);
+    EXPECT_EQ(g.eval.score, referenceEvaluate(eval, g.selection).score);
 
     SearchResult a = annealSearch(prob, eval, {});
-    EXPECT_EQ(a.eval.score, eval.evaluate(a.selection).score);
+    EXPECT_EQ(a.eval.score, referenceEvaluate(eval, a.selection).score);
 
     SearchResult m = mctsSearch(prob, eval, {});
-    EXPECT_EQ(m.eval.score, eval.evaluate(m.selection).score);
+    EXPECT_EQ(m.eval.score, referenceEvaluate(eval, m.selection).score);
+
+    SearchResult ga = geneticSearch(prob, eval, {});
+    EXPECT_EQ(ga.eval.score, referenceEvaluate(eval, ga.selection).score);
+
+    SearchResult p = polishSelection(prob, eval, m.selection);
+    EXPECT_EQ(p.eval.score, referenceEvaluate(eval, p.selection).score);
 }
 
 } // namespace

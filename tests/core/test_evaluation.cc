@@ -1,9 +1,15 @@
-/** @file The 4-metric MCTS evaluation function. */
+/**
+ * @file
+ * The 4-metric MCTS evaluation function, read through the
+ * from-scratch oracle (the accumulator is checked against the same
+ * oracle in test_eval_incremental.cc).
+ */
 
 #include <gtest/gtest.h>
 
-#include "core/evaluation.hh"
+#include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
+#include "eval_reference.hh"
 
 namespace eqx {
 namespace {
@@ -26,7 +32,7 @@ class EvalTest : public ::testing::Test
 
 TEST_F(EvalTest, EmptySelectionIsAllLocal)
 {
-    EvalBreakdown b = eval.evaluate(EirSelection(8));
+    EvalBreakdown b = referenceEvaluate(eval, EirSelection(8));
     // Every CB funnels all 56 PE flows through its local router.
     EXPECT_DOUBLE_EQ(b.maxLoad, 56.0);
     EXPECT_EQ(b.crossings, 0);
@@ -39,8 +45,8 @@ TEST_F(EvalTest, EirsReduceLoadAndHops)
     EirSelection sel(8);
     // Give CB 3 (interior, (4,3)) both x-axis EIRs two hops out.
     sel[3] = {{2, 3}, {6, 3}};
-    EvalBreakdown with = eval.evaluate(sel);
-    EvalBreakdown without = eval.evaluate(EirSelection(8));
+    EvalBreakdown with = referenceEvaluate(eval, sel);
+    EvalBreakdown without = referenceEvaluate(eval, EirSelection(8));
     EXPECT_LT(with.avgHops, without.avgHops);
     EXPECT_LT(with.score, without.score);
 }
@@ -50,20 +56,20 @@ TEST_F(EvalTest, CrossingsPenalized)
     // Same group shape, one with links that cross another CB's links.
     EirSelection base(8);
     base[3] = {{6, 3}};
-    EvalBreakdown clean = eval.evaluate(base);
+    EvalBreakdown clean = referenceEvaluate(eval, base);
     EXPECT_EQ(clean.crossings, 0);
 
     // Force a crossing: CB1 (5,1) link south to (5,3) crosses CB3
     // (4,3) link east to (6,3).
     EirSelection crossed = base;
     crossed[1] = {{5, 3}};
-    EvalBreakdown x = eval.evaluate(crossed);
+    EvalBreakdown x = referenceEvaluate(eval, crossed);
     EXPECT_EQ(x.crossings, 1);
     // The crossing raises the score despite adding a useful EIR from a
     // pure load/hops standpoint more than a clean equivalent would.
     EirSelection clean2 = base;
     clean2[1] = {{7, 1}};
-    EvalBreakdown c2 = eval.evaluate(clean2);
+    EvalBreakdown c2 = referenceEvaluate(eval, clean2);
     EXPECT_GT(x.score - clean.score, c2.score - clean.score);
 }
 
@@ -72,8 +78,8 @@ TEST_F(EvalTest, RepeaterLinksCostMore)
     EirSelection two(8), three(8);
     two[3] = {{6, 3}};  // 2 hops
     three[3] = {{7, 3}}; // 3 hops: needs a repeater
-    EvalBreakdown b2 = eval.evaluate(two);
-    EvalBreakdown b3 = eval.evaluate(three);
+    EvalBreakdown b2 = referenceEvaluate(eval, two);
+    EvalBreakdown b3 = referenceEvaluate(eval, three);
     EXPECT_GT(b3.score, b2.score - 0.3); // not wildly better
     // Isolate the length component: same load shape is not guaranteed,
     // but the span cost triples past the reach.
@@ -84,7 +90,7 @@ TEST_F(EvalTest, PartialSelectionJudgesOnlyDecidedCbs)
 {
     EirSelection partial;
     partial.push_back({{0, 0}, {4, 0}}); // CB0 (2,0) axis EIRs
-    EvalBreakdown b = eval.evaluate(partial);
+    EvalBreakdown b = referenceEvaluate(eval, partial);
     // Only CB0 participates, so the max load reflects its split, not
     // the 56 of the undecided CBs.
     EXPECT_LT(b.maxLoad, 56.0);
@@ -94,7 +100,10 @@ TEST_F(EvalTest, ScoreMatchesEvaluate)
 {
     EirSelection sel(8);
     sel[3] = {{6, 3}};
-    EXPECT_DOUBLE_EQ(eval.score(sel), eval.evaluate(sel).score);
+    EvalAccumulator acc(&eval);
+    for (std::size_t cb = 0; cb < sel.size(); ++cb)
+        acc.push(static_cast<int>(cb), sel[cb]);
+    EXPECT_EQ(acc.score(), referenceEvaluate(eval, sel).score);
 }
 
 TEST_F(EvalTest, WeightsScaleTerms)
@@ -105,7 +114,8 @@ TEST_F(EvalTest, WeightsScaleTerms)
     EirSelection crossed(8);
     crossed[3] = {{6, 3}};
     crossed[1] = {{5, 3}};
-    EXPECT_GT(heavy_eval.score(crossed), eval.score(crossed));
+    EXPECT_GT(referenceEvaluate(heavy_eval, crossed).score,
+              referenceEvaluate(eval, crossed).score);
 }
 
 } // namespace

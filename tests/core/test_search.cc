@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
 #include "core/search.hh"
 
@@ -29,7 +30,7 @@ TEST_F(SearchTest, RandomGroupIsAlwaysLegal)
     Rng rng(1);
     for (int trial = 0; trial < 200; ++trial) {
         int cb = trial % prob.numCbs();
-        auto g = randomGroup(prob, cb, {}, rng);
+        auto g = randomGroup(prob, cb, TileMask(8, 8), rng);
         EXPECT_LE(g.size(), 4u);
         std::set<int> octs;
         std::set<Coord> uniq;
@@ -47,8 +48,9 @@ TEST_F(SearchTest, RandomGroupIsAlwaysLegal)
 TEST_F(SearchTest, RandomGroupRespectsTaken)
 {
     Rng rng(2);
-    auto cands = prob.candidates(3);
-    std::vector<Coord> taken(cands.begin(), cands.end());
+    TileMask taken(8, 8);
+    for (const auto &c : prob.candidates(3))
+        taken.add(c);
     auto g = randomGroup(prob, 3, taken, rng);
     EXPECT_TRUE(g.empty());
 }
@@ -86,7 +88,8 @@ TEST_F(SearchTest, GreedyValidAndBetterThanNothing)
 {
     auto g = greedySearch(prob, eval, 256);
     EXPECT_TRUE(prob.valid(g.selection));
-    EXPECT_LT(g.eval.score, eval.score(EirSelection(8)));
+    // An untouched accumulator scores the all-local design.
+    EXPECT_LT(g.eval.score, EvalAccumulator(&eval).score());
 }
 
 TEST_F(SearchTest, AnnealImprovesOnItsStart)

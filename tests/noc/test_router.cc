@@ -66,11 +66,10 @@ class RouterHarness : public ::testing::Test
         return pkt;
     }
 
-    const VcBuffer &
+    Router::VcView
     inVc(int vc) const
     {
-        return router->inputPort(inPort).vcs[static_cast<std::size_t>(
-            vc)];
+        return router->inputVc(inPort, vc);
     }
 
     /**
@@ -178,11 +177,9 @@ TEST_F(RouterHarness, AtomicVcSecondPacketWaitsForDownstreamDrain)
     // out VC 0 and 1 both show fewer than full credits only while
     // occupied; with no creditArrived calls the third packet can only
     // be granted a VC whose credits are still full.
-    if (inVc(0).state == VcState::Active)
-        EXPECT_EQ(router->outputPort(outPort)
-                      .vcs[static_cast<std::size_t>(inVc(0).outVc)]
-                      .busy,
-                  true);
+    if (inVc(0).state == VcState::Active) {
+        EXPECT_TRUE(router->outputVcBusy(outPort, inVc(0).outVc));
+    }
 }
 
 TEST_F(RouterHarness, NoCreditsNoTraversal)

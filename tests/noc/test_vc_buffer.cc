@@ -1,4 +1,4 @@
-/** @file VC buffer FIFO semantics and state machine fields. */
+/** @file VC buffer FIFO semantics. */
 
 #include <gtest/gtest.h>
 
@@ -44,20 +44,6 @@ TEST(VcBuffer, PopEmptyPanics)
 {
     VcBuffer vcb(1);
     EXPECT_THROW(vcb.pop(), std::logic_error);
-}
-
-TEST(VcBuffer, ReleaseResetsAllocationState)
-{
-    VcBuffer vcb(5);
-    vcb.state = VcState::Active;
-    vcb.outPort = 3;
-    vcb.outVc = 1;
-    vcb.routeCandidates = {1, 2};
-    vcb.release();
-    EXPECT_EQ(vcb.state, VcState::Idle);
-    EXPECT_EQ(vcb.outPort, -1);
-    EXPECT_EQ(vcb.outVc, -1);
-    EXPECT_TRUE(vcb.routeCandidates.empty());
 }
 
 TEST(VcBuffer, OccupancyTracksPushPop)

@@ -28,7 +28,6 @@ TEST(TrafficRegistry, DefaultInstanceRegistersTheFiveModels)
         const TrafficModel *m = reg.find(name);
         ASSERT_NE(m, nullptr) << name;
         EXPECT_EQ(m->name(), name);
-        EXPECT_FALSE(m->describe().empty()) << name;
     }
     EXPECT_EQ(allTrafficModelNames().size(), 5u);
 }
@@ -81,7 +80,6 @@ class StubModel : public TrafficModel
     }
     std::string name() const override { return name_; }
     std::vector<std::string> aliases() const override { return aliases_; }
-    std::string describe() const override { return "stub"; }
     std::unique_ptr<TrafficInstance>
     build(const TrafficBuild &) const override
     {
