@@ -43,6 +43,11 @@ try {
     // bottleneck the paper's scalability argument rests on.
     applyMatrixKnobs(base, cfg, 0.15, 2);
     base.schemes = parseSchemeKnob(cfg, {"SeparateBase", "EquiNox"});
+    // A dead knob, kept so the fig12 records and cell digests do not
+    // move: EquiNox cells get preDesign = &equinoxDesign(), which the
+    // runner builds from default DesignParams (600 iterations per
+    // level). The 300 reaches only the hashed sc.design.* keys of
+    // the SeparateBase cells, which build no design.
     base.tweak = [](SystemConfig &sc) {
         sc.design.mcts.iterationsPerLevel = 300;
     };

@@ -16,12 +16,24 @@
  *                   all through the accumulator
  *   mcts_search     one full MCTS run (all levels, default params),
  *                   reported as wall time and evaluations/second
+ *   design_flow     one whole default buildEquiNoxDesign (N-Queen
+ *                   placement, MCTS, polish) as wall time, plus the
+ *                   same three stages timed one by one; min over
+ *                   repeats. The stage-by-stage run must reproduce
+ *                   the flow's design and evaluation count.
+ *
+ * historical_before_* fields are this bench's numbers at commit
+ * 1ffefc5, before the design-flow hot-loop changes (DESIGN.md §15.5):
+ * the median of 3 runs interleaved with 3 runs of the change, on a
+ * shared 4-core x86-64 container. They are frozen, not re-measured;
+ * compare them with numbers from the same host.
  *
  * Arguments:
  *   out=<path>     output JSON (default BENCH_search_hotloop.json)
  *   min_time=<s>   minimum measured wall time per kernel (default 0.2)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -29,6 +41,7 @@
 
 #include "bench_util.hh"
 #include "common/rng.hh"
+#include "core/design_flow.hh"
 #include "core/eval_accumulator.hh"
 #include "core/nqueen.hh"
 #include "core/search.hh"
@@ -38,6 +51,24 @@ namespace eqx {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Commit whose numbers are frozen in the historical_before_* fields. */
+constexpr const char *kHistoricalCommit = "1ffefc5";
+
+/** This bench at kHistoricalCommit, median of 3 runs (ns / ms). */
+struct Historical
+{
+    double incrNs;
+    double mctsMs;
+    double flowMs;
+    double placementMs;
+    double flowMctsMs;
+    double polishMs;
+};
+constexpr Historical kBefore8x8 = {5623.779, 165.7, 170.8,
+                                   0.6,      160.6, 8.0};
+constexpr Historical kBefore16x16 = {5686.031, 363.4, 714.2,
+                                     176.9,    393.1, 124.4};
 
 /** Time @p fn until @p min_time seconds measured; ns per call. */
 template <typename F>
@@ -181,6 +212,75 @@ mctsKernel(ScaleSetup &s)
     return m;
 }
 
+struct FlowResult
+{
+    double wallMs = 0; ///< whole buildEquiNoxDesign
+    double placementMs = 0;
+    double mctsMs = 0;
+    double polishMs = 0;
+    std::uint64_t evaluations = 0;
+};
+
+double
+msSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count() *
+           1e3;
+}
+
+/**
+ * The default design flow at @p side x @p side, repeated until
+ * @p min_time seconds (at least 3 times); each field is the minimum
+ * over the repeats.
+ */
+FlowResult
+flowKernel(int side, double min_time)
+{
+    DesignParams dp;
+    dp.width = dp.height = side;
+    FlowResult best;
+    double elapsed = 0;
+    for (int rep = 0; rep < 3 || elapsed < min_time; ++rep) {
+        auto t0 = Clock::now();
+        EquiNoxDesign d = buildEquiNoxDesign(dp);
+        double wall = msSince(t0);
+
+        // The same stages buildEquiNoxDesign runs for these params.
+        auto t1 = Clock::now();
+        Rng rng(dp.seed);
+        ScoredPlacement sp = bestNQueenPlacement(side, dp.numCbs, rng);
+        double placement = msSince(t1);
+        EirProblem prob(side, side, sp.cbs, dp.maxHops, dp.maxPerGroup,
+                        dp.topo);
+        EirEvaluator eval(&prob, dp.weights);
+        MctsParams mp = dp.mcts;
+        mp.seed = dp.seed;
+        auto t2 = Clock::now();
+        SearchResult res = mctsSearch(prob, eval, mp);
+        double mcts = msSince(t2);
+        auto t3 = Clock::now();
+        SearchResult pol = polishSelection(prob, eval, res.selection,
+                                           dp.polishPasses);
+        double polish = msSince(t3);
+        elapsed += (wall + placement + mcts + polish) / 1e3;
+
+        if (sp.cbs != d.cbs || pol.selection != d.eirGroups ||
+            res.evaluations + pol.evaluations != d.evaluations)
+            eqx_panic("design_flow stages diverged from "
+                      "buildEquiNoxDesign at ",
+                      side, "x", side);
+        auto keepMin = [rep](double &field, double v) {
+            field = rep == 0 ? v : std::min(field, v);
+        };
+        keepMin(best.wallMs, wall);
+        keepMin(best.placementMs, placement);
+        keepMin(best.mctsMs, mcts);
+        keepMin(best.polishMs, polish);
+        best.evaluations = d.evaluations;
+    }
+    return best;
+}
+
 } // namespace
 } // namespace eqx
 
@@ -202,6 +302,8 @@ try {
         double scratchNs = 0;
         double incrNs = 0;
         MctsResult mcts;
+        FlowResult flow;
+        Historical before;
     };
     std::vector<Row> rows;
     double sink = 0;
@@ -209,12 +311,13 @@ try {
         ScaleSetup s = makeSetup(side, 8);
         Row r;
         r.scale = std::to_string(side) + "x" + std::to_string(side);
+        r.before = side == 8 ? kBefore8x8 : kBefore16x16;
         r.scratchNs = scratchKernel(s, min_time, sink);
         r.incrNs = incrKernel(s, min_time, sink);
         r.mcts = mctsKernel(s);
+        r.flow = flowKernel(side, min_time);
         rows.push_back(std::move(r));
     }
-
     std::printf("%-10s %16s %16s %9s %12s %12s\n", "scale",
                 "scratch ns/eval", "incr ns/step", "speedup",
                 "mcts wall_ms", "mcts evals/s");
@@ -223,6 +326,13 @@ try {
                     r.scale.c_str(), r.scratchNs, r.incrNs,
                     r.scratchNs / r.incrNs, r.mcts.wallMs,
                     r.mcts.evalsPerSec);
+    std::printf("\n%-10s %12s %12s %12s %12s %12s\n", "design flow",
+                "wall_ms", "placement", "mcts", "polish", "evals");
+    for (const auto &r : rows)
+        std::printf("%-10s %12.1f %12.1f %12.1f %12.1f %12llu\n",
+                    r.scale.c_str(), r.flow.wallMs, r.flow.placementMs,
+                    r.flow.mctsMs, r.flow.polishMs,
+                    static_cast<unsigned long long>(r.flow.evaluations));
 
     std::FILE *f = std::fopen(out.c_str(), "w");
     if (!f) {
@@ -231,26 +341,49 @@ try {
         return 1;
     }
     std::fprintf(f,
-                 "{\n  \"bench\": \"search_hotloop\",\n  \"kernels\": [\n");
+                 "{\n  \"bench\": \"search_hotloop\",\n"
+                 "  \"historical_before_commit\": \"%s\",\n"
+                 "  \"kernels\": [\n",
+                 kHistoricalCommit);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         std::fprintf(f,
                      "    {\"name\": \"eval_step_%s\", "
                      "\"scratch_ns_per_eval\": %.3f, "
                      "\"incr_ns_per_step\": %.3f, "
+                     "\"historical_before_incr_ns_per_step\": %.3f, "
                      "\"speedup\": %.3f, "
                      "\"incr_evals_per_second\": %.0f},\n",
                      r.scale.c_str(), r.scratchNs, r.incrNs,
-                     r.scratchNs / r.incrNs, 1e9 / r.incrNs);
+                     r.before.incrNs, r.scratchNs / r.incrNs,
+                     1e9 / r.incrNs);
         std::fprintf(f,
                      "    {\"name\": \"mcts_search_%s\", "
                      "\"wall_ms\": %.1f, "
+                     "\"historical_before_wall_ms\": %.1f, "
                      "\"evaluations\": %llu, "
-                     "\"evals_per_second\": %.0f}%s\n",
-                     r.scale.c_str(), r.mcts.wallMs,
+                     "\"evals_per_second\": %.0f},\n",
+                     r.scale.c_str(), r.mcts.wallMs, r.before.mctsMs,
                      static_cast<unsigned long long>(
                          r.mcts.evaluations),
-                     r.mcts.evalsPerSec,
+                     r.mcts.evalsPerSec);
+        std::fprintf(f,
+                     "    {\"name\": \"design_flow_%s\", "
+                     "\"wall_ms\": %.1f, "
+                     "\"historical_before_wall_ms\": %.1f, "
+                     "\"placement_ms\": %.1f, "
+                     "\"historical_before_placement_ms\": %.1f, "
+                     "\"mcts_ms\": %.1f, "
+                     "\"historical_before_mcts_ms\": %.1f, "
+                     "\"polish_ms\": %.1f, "
+                     "\"historical_before_polish_ms\": %.1f, "
+                     "\"evaluations\": %llu}%s\n",
+                     r.scale.c_str(), r.flow.wallMs, r.before.flowMs,
+                     r.flow.placementMs, r.before.placementMs,
+                     r.flow.mctsMs, r.before.flowMctsMs, r.flow.polishMs,
+                     r.before.polishMs,
+                     static_cast<unsigned long long>(
+                         r.flow.evaluations),
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -126,36 +126,71 @@ segmentLength(const Segment &s)
     return std::sqrt(dx * dx + dy * dy);
 }
 
+CrossingLedger::Box
+CrossingLedger::boxOf(const Segment &s)
+{
+    return {std::min(s.a.x, s.b.x), std::min(s.a.y, s.b.y),
+            std::max(s.a.x, s.b.x), std::max(s.a.y, s.b.y)};
+}
+
+CrossingLedger::Box
+CrossingLedger::boxOf(const std::vector<Segment> &segs)
+{
+    Box u = boxOf(segs.front());
+    for (const auto &s : segs) {
+        Box b = boxOf(s);
+        u = {std::min(u.x0, b.x0), std::min(u.y0, b.y0),
+             std::max(u.x1, b.x1), std::max(u.y1, b.y1)};
+    }
+    return u;
+}
+
+bool
+CrossingLedger::meet(const Box &a, const Box &b)
+{
+    return a.x0 <= b.x1 && b.x0 <= a.x1 && a.y0 <= b.y1 && b.y0 <= a.y1;
+}
+
 int
 CrossingLedger::against(int slot, const std::vector<Segment> &segs) const
 {
+    // Two segments that cross share a point, and it lies in both of
+    // their bounding boxes (and so in both slots' boxes): a pair or a
+    // slot with disjoint boxes is skipped without changing the count.
+    if (segs.empty())
+        return 0;
+    const Box query = boxOf(segs);
     int n = 0;
     for (std::size_t o = 0; o < slots_.size(); ++o) {
-        if (static_cast<int>(o) == slot)
+        const Slot &other = slots_[o];
+        if (static_cast<int>(o) == slot || other.segs.empty() ||
+            !meet(query, other.box))
             continue;
-        for (const auto &other : slots_[o])
+        for (const auto &t : other.segs)
             for (const auto &s : segs)
-                if (segmentsCross(s, other))
+                if (meet(boxOf(s), boxOf(t)) && segmentsCross(s, t))
                     ++n;
     }
     return n;
 }
 
 void
-CrossingLedger::add(int slot, std::vector<Segment> segs)
+CrossingLedger::add(int slot, const std::vector<Segment> &segs)
 {
     eqx_assert(slot >= 0, "ledger slot must be non-negative");
     if (static_cast<std::size_t>(slot) >= slots_.size())
         slots_.resize(static_cast<std::size_t>(slot) + 1);
     auto &dst = slots_[static_cast<std::size_t>(slot)];
-    eqx_assert(dst.empty(), "ledger slot already occupied");
+    eqx_assert(dst.segs.empty(), "ledger slot already occupied");
     count_ += against(slot, segs);
     for (std::size_t i = 0; i < segs.size(); ++i)
         for (std::size_t j = i + 1; j < segs.size(); ++j)
             if (segmentsCross(segs[i], segs[j]))
                 ++count_;
     total_ += segs.size();
-    dst = std::move(segs);
+    dst.segs.assign(segs.begin(), segs.end()); // reuses the capacity
+    if (!segs.empty())
+        dst.box = boxOf(segs);
 }
 
 void
@@ -164,7 +199,7 @@ CrossingLedger::remove(int slot)
     eqx_assert(slot >= 0 &&
                    static_cast<std::size_t>(slot) < slots_.size(),
                "removing an unknown ledger slot");
-    auto &segs = slots_[static_cast<std::size_t>(slot)];
+    auto &segs = slots_[static_cast<std::size_t>(slot)].segs;
     count_ -= against(slot, segs);
     for (std::size_t i = 0; i < segs.size(); ++i)
         for (std::size_t j = i + 1; j < segs.size(); ++j)
@@ -179,7 +214,7 @@ bool
 CrossingLedger::occupied(int slot) const
 {
     return slot >= 0 && static_cast<std::size_t>(slot) < slots_.size() &&
-           !slots_[static_cast<std::size_t>(slot)].empty();
+           !slots_[static_cast<std::size_t>(slot)].segs.empty();
 }
 
 void

@@ -68,9 +68,11 @@ class CrossingLedger
     /**
      * Install @p segs as slot @p slot (which must currently be empty)
      * and add their crossings with every present segment — including
-     * the pairs internal to @p segs — to the running count.
+     * the pairs internal to @p segs — to the running count. Slots
+     * and segment pairs whose bounding boxes are disjoint cannot
+     * cross and are skipped before the exact predicate runs.
      */
-    void add(int slot, std::vector<Segment> segs);
+    void add(int slot, const std::vector<Segment> &segs);
 
     /** Remove slot @p slot's segments and their crossings. */
     void remove(int slot);
@@ -88,10 +90,25 @@ class CrossingLedger
     void clear();
 
   private:
+    /** A closed axis-aligned bounding box. */
+    struct Box
+    {
+        int x0, y0, x1, y1;
+    };
+    struct Slot
+    {
+        std::vector<Segment> segs;
+        Box box{}; ///< bounds every segment in segs
+    };
+
+    static Box boxOf(const Segment &s);
+    static Box boxOf(const std::vector<Segment> &segs);
+    static bool meet(const Box &a, const Box &b);
+
     /** Crossings between @p segs and every *other* slot's segments. */
     int against(int slot, const std::vector<Segment> &segs) const;
 
-    std::vector<std::vector<Segment>> slots_;
+    std::vector<Slot> slots_;
     std::size_t total_ = 0;
     int count_ = 0;
 };

@@ -92,13 +92,12 @@ greedySearch(const EirProblem &prob, const EirEvaluator &eval,
     result.method = "greedy";
     EvalAccumulator acc(&eval);
     for (int cb = 0; cb < prob.numCbs(); ++cb) {
-        auto groups = prob.groupsFor(cb, acc.takenMask());
-        if (groups.size() > max_groups_per_cb)
-            groups.resize(max_groups_per_cb);
+        GroupList groups = prob.groupsFor(cb, acc.takenMask());
+        groups.truncate(max_groups_per_cb);
         double best_score = 0;
         std::size_t best_idx = 0;
         for (std::size_t i = 0; i < groups.size(); ++i) {
-            acc.push(cb, groups[i]);
+            acc.push(cb, groups.group(i));
             double s = acc.score();
             acc.pop();
             ++result.evaluations;
@@ -107,7 +106,7 @@ greedySearch(const EirProblem &prob, const EirEvaluator &eval,
                 best_idx = i;
             }
         }
-        acc.push(cb, std::move(groups[best_idx]));
+        acc.push(cb, groups.group(best_idx));
     }
     result.selection = acc.selection();
     result.eval = acc.evaluate();
@@ -138,11 +137,10 @@ polishSelection(const EirProblem &prob, const EirEvaluator &eval,
             // Free this CB's group, then best-respond.
             std::vector<Coord> best_group = acc.group(cb);
             acc.setGroup(cb, {});
-            auto groups = prob.groupsFor(cb, acc.takenMask());
-            if (groups.size() > max_groups_per_cb)
-                groups.resize(max_groups_per_cb);
-            for (auto &g : groups) {
-                acc.setGroup(cb, std::move(g));
+            GroupList groups = prob.groupsFor(cb, acc.takenMask());
+            groups.truncate(max_groups_per_cb);
+            for (std::size_t i = 0; i < groups.size(); ++i) {
+                acc.setGroup(cb, groups.group(i));
                 double s = acc.score();
                 ++result.evaluations;
                 if (s < cur) {

@@ -37,12 +37,18 @@ EirProblem::EirProblem(int width, int height, std::vector<Coord> cbs,
     eqx_assert(maxPerGroup_ >= 1 && maxPerGroup_ <= 8,
                "group size must be within 1..8");
     candidates_.resize(cbs_.size());
+    byOctant_.resize(cbs_.size());
     for (int i = 0; i < numCbs(); ++i) {
+        auto idx = static_cast<std::size_t>(i);
         for (int y = 0; y < h_; ++y) {
             for (int x = 0; x < w_; ++x) {
                 Coord c{x, y};
-                if (legalEir(i, c))
-                    candidates_[static_cast<std::size_t>(i)].push_back(c);
+                if (!legalEir(i, c))
+                    continue;
+                candidates_[idx].push_back(c);
+                byOctant_[idx][static_cast<std::size_t>(
+                                   directionOctant(cbs_[idx], c))]
+                    .push_back(c);
             }
         }
     }
@@ -73,45 +79,50 @@ EirProblem::candidates(int cb_idx) const
     return candidates_[static_cast<std::size_t>(cb_idx)];
 }
 
-std::vector<std::vector<Coord>>
+GroupList
 EirProblem::groupsFor(int cb_idx, const TileMask &taken) const
 {
-    const Coord &cb = cbs_[static_cast<std::size_t>(cb_idx)];
-
-    // Bucket the free candidates by direction octant; axes first so
-    // that enumeration favours the axis placements the paper's design
+    // The free candidates by direction octant; axes first so that
+    // enumeration favours the axis placements the paper's design
     // converges to.
-    std::vector<std::vector<Coord>> byOctant(8);
-    for (const auto &c : candidates(cb_idx)) {
-        if (taken.test(c))
-            continue;
-        byOctant[static_cast<std::size_t>(directionOctant(cb, c))]
-            .push_back(c);
-    }
+    std::array<std::vector<Coord>, 8> byOctant;
+    for (int oct = 0; oct < 8; ++oct)
+        for (const auto &c : candidatesIn(cb_idx, oct))
+            if (!taken.test(c))
+                byOctant[static_cast<std::size_t>(oct)].push_back(c);
     const std::array<int, 8> octant_order{{0, 2, 4, 6, 1, 3, 5, 7}};
 
-    std::vector<std::vector<Coord>> groups;
+    GroupList out;
     constexpr std::size_t kMaxGroups = 8192;
-    std::vector<Coord> cur;
+    std::size_t num_groups = 0;
+    std::array<Coord, 8> cur;
+    std::size_t cur_size = 0;
+    out.start_.push_back(0);
 
     // Depth-first over octants in preference order; at each octant
     // either skip it or take one of its candidates.
     auto rec = [&](auto &&self, int oi) -> void {
-        if (groups.size() >= kMaxGroups)
+        if (num_groups >= kMaxGroups)
             return;
         if (oi == 8) {
-            if (!cur.empty())
-                groups.push_back(cur);
+            if (cur_size > 0) {
+                out.tiles_.insert(out.tiles_.end(), cur.begin(),
+                                  cur.begin() +
+                                      static_cast<std::ptrdiff_t>(cur_size));
+                out.start_.push_back(
+                    static_cast<std::uint32_t>(out.tiles_.size()));
+                ++num_groups;
+            }
             return;
         }
         int oct = octant_order[static_cast<std::size_t>(oi)];
-        if (static_cast<int>(cur.size()) < maxPerGroup_) {
+        if (static_cast<int>(cur_size) < maxPerGroup_) {
             for (const auto &c :
                  byOctant[static_cast<std::size_t>(oct)]) {
-                cur.push_back(c);
+                cur[cur_size++] = c;
                 self(self, oi + 1);
-                cur.pop_back();
-                if (groups.size() >= kMaxGroups)
+                --cur_size;
+                if (num_groups >= kMaxGroups)
                     return;
             }
         }
@@ -119,13 +130,18 @@ EirProblem::groupsFor(int cb_idx, const TileMask &taken) const
     };
     rec(rec, 0);
 
-    // Larger groups first: more injection equivalents is the point.
-    std::stable_sort(groups.begin(), groups.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.size() > b.size();
-                     });
-    groups.emplace_back(); // the empty fallback group
-    return groups;
+    // Larger groups first, enumeration order within a size (a stable
+    // sort by size): more injection equivalents is the point.
+    out.order_.reserve(num_groups + 1);
+    for (int size = maxPerGroup_; size >= 1; --size)
+        for (std::uint32_t g = 0; g < num_groups; ++g)
+            if (out.start_[g + 1] - out.start_[g] ==
+                static_cast<std::uint32_t>(size))
+                out.order_.push_back(g);
+    // The empty fallback group.
+    out.start_.push_back(static_cast<std::uint32_t>(out.tiles_.size()));
+    out.order_.push_back(static_cast<std::uint32_t>(num_groups));
+    return out;
 }
 
 bool

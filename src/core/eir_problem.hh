@@ -17,9 +17,12 @@
 #ifndef EQX_CORE_EIR_PROBLEM_HH
 #define EQX_CORE_EIR_PROBLEM_HH
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/tile_mask.hh"
 #include "common/types.hh"
 #include "interposer/link_plan.hh"
@@ -32,6 +35,50 @@ using EirSelection = std::vector<std::vector<Coord>>;
 
 /** Relative-direction octant of @p to as seen from @p from (0..7). */
 int directionOctant(const Coord &from, const Coord &to);
+
+/**
+ * The legal groups of one CB as one flat list: every group's tiles
+ * back to back in one buffer, plus a list order over them. A search
+ * that keeps only a few groups (MCTS keeps 64 of ~1,700 at 16x16)
+ * shuffles or truncates the order and builds vectors for the groups
+ * it keeps, instead of one heap vector per enumerated group.
+ */
+class GroupList
+{
+  public:
+    /** Number of groups in the list. */
+    std::size_t size() const { return order_.size(); }
+    bool empty() const { return order_.empty(); }
+
+    /** The group at list position @p i. */
+    std::vector<Coord>
+    group(std::size_t i) const
+    {
+        std::uint32_t g = order_[i];
+        return {tiles_.begin() + start_[g], tiles_.begin() + start_[g + 1]};
+    }
+
+    /**
+     * Permute the list exactly as rng.shuffle permutes a vector of
+     * size() groups: Fisher-Yates draws depend only on the length.
+     */
+    void shuffle(Rng &rng) { rng.shuffle(order_); }
+
+    /** Keep only the first @p n groups. */
+    void
+    truncate(std::size_t n)
+    {
+        if (order_.size() > n)
+            order_.resize(n);
+    }
+
+  private:
+    friend class EirProblem;
+
+    std::vector<Coord> tiles_;         ///< all groups' tiles
+    std::vector<std::uint32_t> start_; ///< group g: [start_[g], start_[g+1])
+    std::vector<std::uint32_t> order_; ///< list position -> group
+};
 
 /** Problem instance: mesh, placement and structural limits. */
 class EirProblem
@@ -63,17 +110,25 @@ class EirProblem
     int maxHops() const { return maxHops_; }
     int maxPerGroup() const { return maxPerGroup_; }
 
-    /** All individually legal EIR tiles for CB @p cb_idx. */
+    /** All individually legal EIR tiles for CB @p cb_idx (row-major). */
     const std::vector<Coord> &candidates(int cb_idx) const;
+
+    /** The candidates of CB @p cb_idx in direction @p octant, in order. */
+    const std::vector<Coord> &
+    candidatesIn(int cb_idx, int octant) const
+    {
+        return byOctant_[static_cast<std::size_t>(cb_idx)]
+                        [static_cast<std::size_t>(octant)];
+    }
 
     /**
      * Enumerate legal groups for CB @p cb_idx, excluding tiles already
-     * taken by other groups. Groups satisfy the octant and size rules;
-     * the empty group is included last as a fallback (a CB may end up
-     * with no EIR near a crowded boundary).
+     * taken by other groups. Groups satisfy the octant and size rules
+     * and list larger groups first; the empty group is included last
+     * as a fallback (a CB may end up with no EIR near a crowded
+     * boundary).
      */
-    std::vector<std::vector<Coord>>
-    groupsFor(int cb_idx, const TileMask &taken) const;
+    GroupList groupsFor(int cb_idx, const TileMask &taken) const;
 
     /** Check a full selection against every constraint. */
     bool valid(const EirSelection &sel, std::string *why = nullptr) const;
@@ -91,6 +146,7 @@ class EirProblem
     int maxHops_;
     int maxPerGroup_;
     std::vector<std::vector<Coord>> candidates_;
+    std::vector<std::array<std::vector<Coord>, 8>> byOctant_;
 };
 
 } // namespace eqx

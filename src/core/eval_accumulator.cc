@@ -21,8 +21,11 @@ EvalAccumulator::EvalAccumulator(const EirEvaluator *eval)
     groups_.reserve(static_cast<std::size_t>(num_cbs));
     // Baseline: every CB undecided, carrying its all-local (empty
     // group) contribution.
-    for (int cb = 0; cb < num_cbs; ++cb)
-        apply(cb, eval_->contribution(cb, kEmptyGroup));
+    empty_.reserve(static_cast<std::size_t>(num_cbs));
+    for (int cb = 0; cb < num_cbs; ++cb) {
+        empty_.push_back(eval_->contribution(cb, kEmptyGroup));
+        apply(cb, empty_.back());
+    }
 }
 
 void
@@ -83,7 +86,7 @@ EvalAccumulator::push(int cb_idx, std::vector<Coord> group)
                "push must decide the next CB in order");
     eqx_assert(cb_idx < eval_->problem()->numCbs(),
                "push past the last CB");
-    unapply(cb_idx, eval_->contribution(cb_idx, kEmptyGroup));
+    unapply(cb_idx, empty_[static_cast<std::size_t>(cb_idx)]);
     apply(cb_idx, eval_->contribution(cb_idx, group));
     for (const auto &t : group)
         taken_.add(t);
@@ -97,7 +100,7 @@ EvalAccumulator::pop()
     int cb_idx = static_cast<int>(groups_.size()) - 1;
     const auto &group = groups_.back();
     unapply(cb_idx, eval_->contribution(cb_idx, group));
-    apply(cb_idx, eval_->contribution(cb_idx, kEmptyGroup));
+    apply(cb_idx, empty_[static_cast<std::size_t>(cb_idx)]);
     for (const auto &t : group)
         taken_.remove(t);
     groups_.pop_back();

@@ -99,6 +99,8 @@ class EvalAccumulator
     int h_;
 
     EirSelection groups_; ///< decided prefix
+    /** Each CB's all-local contribution, read on every push and pop. */
+    std::vector<EvalContribution> empty_;
 
     // Per-tile injection loads, grid-indexed, plus the row-major
     // sorted index list of loaded tiles. Row-major order is exactly

@@ -1,6 +1,7 @@
 #include "core/evaluation.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "core/hotzone.hh"
@@ -35,15 +36,37 @@ EirEvaluator::EirEvaluator(const EirProblem *problem, EvalWeights weights)
         }
     }
 
-    // References from the EIR-less baseline.
+    // Tile bitsets for computeContribution: the senders (non-CB
+    // tiles), and per CB the senders on its row or column.
+    words_ = (cbMask_.size() + 63) / 64;
+    nonCb_.assign(words_, 0);
+    for (std::size_t i = 0; i < cbMask_.size(); ++i) {
+        if (!cbMask_[i]) {
+            nonCb_[i / 64] |= std::uint64_t{1} << (i % 64);
+            ++numSenders_;
+        }
+    }
+    const std::size_t num_cbs = prob_->cbs().size();
+    onAxis_.assign(words_ * num_cbs, 0);
+    localHops_.assign(num_cbs, 0);
+    shortcutIdx_.assign(cbMask_.size() * num_cbs, -1);
+
+    // Per-CB all-local hop sums, and the references from the EIR-less
+    // baseline.
     double dist_sum = 0;
     int pairs = 0;
-    for (const auto &cb : prob_->cbs()) {
+    for (std::size_t c = 0; c < num_cbs; ++c) {
+        const Coord &cb = prob_->cbs()[c];
         for (int y = 0; y < h_; ++y) {
             for (int x = 0; x < w_; ++x) {
                 Coord p{x, y};
                 if (isCb(p))
                     continue;
+                std::size_t i = static_cast<std::size_t>(y * w_ + x);
+                if (cb.x == p.x || cb.y == p.y)
+                    onAxis_[c * words_ + i / 64] |= std::uint64_t{1}
+                                                    << (i % 64);
+                localHops_[c] += prob_->distance(cb, p);
                 dist_sum += prob_->distance(cb, p);
                 ++pairs;
             }
@@ -100,87 +123,110 @@ EirEvaluator::finish(const std::vector<std::pair<Coord, double>> &loads,
     return out;
 }
 
+std::size_t
+EirEvaluator::shortcutRow(int cb_idx, const Coord &g) const
+{
+    eqx_assert(g.x >= 0 && g.x < w_ && g.y >= 0 && g.y < h_,
+               "group tile off the mesh");
+    std::size_t key = static_cast<std::size_t>(cb_idx) * cbMask_.size() +
+                      static_cast<std::size_t>(g.y * w_ + g.x);
+    std::int32_t &row = shortcutIdx_[key];
+    if (row < 0) {
+        const Coord &cb = prob_->cbs()[static_cast<std::size_t>(cb_idx)];
+        int cb_g = prob_->distance(cb, g);
+        row = static_cast<std::int32_t>(shortcutRows_.size() / words_);
+        shortcutRows_.resize(shortcutRows_.size() + words_, 0);
+        std::uint64_t *bits = &shortcutRows_[shortcutRows_.size() - words_];
+        for (int y = 0; y < h_; ++y) {
+            for (int x = 0; x < w_; ++x) {
+                Coord p{x, y};
+                if (cb_g + prob_->distance(g, p) ==
+                    prob_->distance(cb, p)) {
+                    std::size_t i = static_cast<std::size_t>(y * w_ + x);
+                    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+                }
+            }
+        }
+    }
+    return static_cast<std::size_t>(row) * words_;
+}
+
 void
 EirEvaluator::computeContribution(int cb_idx,
                                   const std::vector<Coord> &group,
                                   EvalContribution &out) const
 {
     out.loads.clear();
-    out.hopSum = 0.0;
-    out.hopWeight = 0.0;
     out.links.clear();
     out.lengthHops = 0.0;
     out.overReach = 0;
 
     const Coord &cb = prob_->cbs()[static_cast<std::size_t>(cb_idx)];
+    const std::size_t n = group.size();
 
-    // One load slot per group tile plus one for the CB itself; only
-    // slots that actually receive flow survive into out.loads, so the
-    // combined per-tile set holds exactly the loaded tiles (the entry
-    // count feeds the mean-load divisor).
-    std::vector<EvalContribution::TileLoad> slots(group.size() + 1);
-    for (std::size_t g = 0; g < group.size(); ++g)
-        slots[g].tile = group[g];
-    slots.back().tile = cb;
-
-    // Every non-CB tile sends its flow through this CB's Buffer
-    // Selection choice. All increments are multiples of 0.5 well below
-    // 2^52, so the partial sums are exact and combine
-    // order-independently.
-    for (int y = 0; y < h_; ++y) {
-        for (int x = 0; x < w_; ++x) {
-            Coord p{x, y};
-            if (isCb(p))
-                continue;
-            int base = prob_->distance(cb, p);
-
-            int elig[2];
-            int n_elig = 0;
-            for (std::size_t g = 0; g < group.size(); ++g) {
-                if (prob_->distance(cb, group[g]) +
-                        prob_->distance(group[g], p) ==
-                        base &&
-                    n_elig < 2)
-                    elig[n_elig++] = static_cast<int>(g);
-            }
-            bool on_axis = cb.x == p.x || cb.y == p.y;
-            if (n_elig == 0) {
-                slots.back().load += 1.0;
-                ++slots.back().count;
-                out.hopSum += base;
-            } else if (on_axis || n_elig == 1) {
-                auto &s0 = slots[static_cast<std::size_t>(elig[0])];
-                s0.load += 1.0;
-                ++s0.count;
-                out.hopSum +=
-                    1 + prob_->distance(
-                            group[static_cast<std::size_t>(elig[0])], p);
-            } else {
-                auto &s0 = slots[static_cast<std::size_t>(elig[0])];
-                auto &s1 = slots[static_cast<std::size_t>(elig[1])];
-                s0.load += 0.5;
-                ++s0.count;
-                s1.load += 0.5;
-                ++s1.count;
-                out.hopSum +=
-                    0.5 * (1 + prob_->distance(
-                                   group[static_cast<std::size_t>(
-                                       elig[0])],
-                                   p)) +
-                    0.5 * (1 + prob_->distance(
-                                   group[static_cast<std::size_t>(
-                                       elig[1])],
-                                   p));
-            }
-            out.hopWeight += 1.0;
+    // Buffer Selection per non-CB tile p: a group tile g is eligible
+    // when it lies on a shortest CB -> p path (its shortcut row holds
+    // p). p's flow goes whole to the first eligible tile when it has
+    // one, or when it shares the CB's row or column; otherwise half
+    // to each of the first two; with none it stays at the CB. The
+    // word loop below classifies 64 tiles at a time and only counts
+    // them, which is exact: every load is (whole + 0.5 x half), and
+    // a tile served by g has hop count 1 + dist(g, p) =
+    // 1 + dist(cb, p) - dist(cb, g), so the hop sum is the CB's
+    // all-local sum plus (1 - dist(cb, g)) per tile g serves whole
+    // and half that per tile it serves split.
+    std::vector<std::size_t> rows(n);
+    std::vector<int> cb_dist(n);
+    for (std::size_t g = 0; g < n; ++g) {
+        rows[g] = shortcutRow(cb_idx, group[g]);
+        cb_dist[g] = prob_->distance(cb, group[g]);
+    }
+    std::vector<int> whole_n(n, 0); // tiles sent whole to g
+    std::vector<int> half_n(n, 0);  // tiles split between g and another
+    int local_n = 0;                // tiles kept at the CB
+    const std::uint64_t *axis = &onAxis_[static_cast<std::size_t>(cb_idx) *
+                                         words_];
+    for (std::size_t w = 0; w < words_; ++w) {
+        const std::uint64_t live = nonCb_[w];
+        std::uint64_t any = 0; // >= 1 eligible group tile
+        std::uint64_t two = 0; // >= 2 eligible group tiles
+        for (std::size_t g = 0; g < n; ++g) {
+            std::uint64_t e = shortcutRows_[rows[g] + w] & live;
+            two |= any & e;
+            any |= e;
+        }
+        const std::uint64_t whole = (any & ~two) | (two & axis[w]);
+        const std::uint64_t split = two & ~axis[w];
+        local_n += std::popcount(live & ~any);
+        std::uint64_t seen = 0, seen2 = 0;
+        for (std::size_t g = 0; g < n; ++g) {
+            std::uint64_t e = shortcutRows_[rows[g] + w] & live;
+            std::uint64_t first = e & ~seen;
+            std::uint64_t second = e & seen & ~seen2;
+            whole_n[g] += std::popcount(first & whole);
+            half_n[g] += std::popcount((first | second) & split);
+            seen2 |= seen & e;
+            seen |= e;
         }
     }
 
-    for (auto &s : slots)
-        if (s.count > 0)
-            out.loads.push_back(s);
+    // Hop sum in half-hop units: an integer far below 2^53, so the
+    // double is the exact sum the per-tile loop would accumulate.
+    std::int64_t half_hops =
+        2 * localHops_[static_cast<std::size_t>(cb_idx)];
+    for (std::size_t g = 0; g < n; ++g) {
+        half_hops += std::int64_t{2} * whole_n[g] * (1 - cb_dist[g]) +
+                     std::int64_t{half_n[g]} * (1 - cb_dist[g]);
+        if (whole_n[g] + half_n[g] > 0)
+            out.loads.push_back({group[g], whole_n[g] + 0.5 * half_n[g],
+                                 whole_n[g] + half_n[g]});
+    }
+    if (local_n > 0)
+        out.loads.push_back({cb, static_cast<double>(local_n), local_n});
+    out.hopSum = 0.5 * static_cast<double>(half_hops);
+    out.hopWeight = static_cast<double>(numSenders_);
 
-    out.links.reserve(group.size());
+    out.links.reserve(n);
     for (const auto &e : group) {
         out.links.push_back(Segment{cb, e});
         int hops = manhattan(cb, e);
@@ -196,8 +242,7 @@ EirEvaluator::contribution(int cb_idx,
 {
     eqx_assert(cb_idx >= 0 && cb_idx < prob_->numCbs(),
                "contribution for an unknown CB");
-    MemoKey key{cb_idx, group};
-    auto it = memo_.find(key);
+    auto it = memo_.find(MemoProbe{cb_idx, group});
     if (it != memo_.end()) {
         ++memoHits_;
         return it->second;
@@ -208,7 +253,8 @@ EirEvaluator::contribution(int cb_idx,
         computeContribution(cb_idx, group, scratch_);
         return scratch_;
     }
-    auto [ins, ok] = memo_.emplace(std::move(key), EvalContribution{});
+    auto [ins, ok] = memo_.emplace(MemoKey{cb_idx, group},
+                                   EvalContribution{});
     (void)ok;
     computeContribution(cb_idx, group, ins->second);
     return ins->second;

@@ -85,13 +85,16 @@ struct EvalContribution
  * shares.
  *
  * All selection-independent state — the CB occupancy bitmap, the
- * hot-zone contention factors, and the normalizers — is built once in
- * the constructor. Per-(CB, canonical group) contributions are served
- * from a content-addressed memo, so repeated rollouts of the same
- * group cost a hash lookup instead of a W x H scan.
+ * hot-zone contention factors, per-CB tile bitsets and the
+ * normalizers — is built once in the constructor. Per-(CB, canonical
+ * group) contributions are served from a content-addressed memo, so
+ * repeated rollouts of the same group cost a hash lookup; a miss
+ * counts tiles 64 at a time through per-(CB, group tile) shortcut
+ * bitsets built on first use (DESIGN.md §15.5).
  *
- * Not thread-safe: the memo mutates under const calls. Give each
- * worker its own evaluator (as the design flow already does).
+ * Not thread-safe: the memo and the shortcut rows mutate under const
+ * calls. Give each worker its own evaluator (as the design flow
+ * already does).
  */
 class EirEvaluator
 {
@@ -151,20 +154,26 @@ class EirEvaluator
     /** Contribution cache cap; beyond it, misses compute into scratch. */
     static constexpr std::size_t kMemoCap = 1u << 18;
 
+    /**
+     * Memo keys own their group; lookups borrow the caller's through
+     * a MemoProbe, so only an insert copies the group.
+     */
     struct MemoKey
     {
         int cb;
         std::vector<Coord> group;
-        bool
-        operator==(const MemoKey &o) const
-        {
-            return cb == o.cb && group == o.group;
-        }
+    };
+    struct MemoProbe
+    {
+        int cb;
+        const std::vector<Coord> &group;
     };
     struct MemoKeyHash
     {
-        std::size_t
-        operator()(const MemoKey &k) const
+        using is_transparent = void;
+
+        static std::size_t
+        hash(int cb, const std::vector<Coord> &group)
         {
             // FNV-1a over the CB index and the ordered tile sequence.
             std::uint64_t h = 1469598103934665603ULL;
@@ -172,19 +181,47 @@ class EirEvaluator
                 h ^= v;
                 h *= 1099511628211ULL;
             };
-            mix(static_cast<std::uint64_t>(k.cb));
-            for (const auto &c : k.group)
+            mix(static_cast<std::uint64_t>(cb));
+            for (const auto &c : group)
                 mix((static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(c.y))
                      << 32) |
                     static_cast<std::uint32_t>(c.x));
             return static_cast<std::size_t>(h);
         }
+        std::size_t
+        operator()(const MemoKey &k) const
+        {
+            return hash(k.cb, k.group);
+        }
+        std::size_t
+        operator()(const MemoProbe &k) const
+        {
+            return hash(k.cb, k.group);
+        }
+    };
+    struct MemoKeyEq
+    {
+        using is_transparent = void;
+
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return a.cb == b.cb && a.group == b.group;
+        }
     };
 
     /** Compute a contribution without touching the memo. */
     void computeContribution(int cb_idx, const std::vector<Coord> &group,
                              EvalContribution &out) const;
+
+    /**
+     * Offset in shortcutRows_ of the bitset of tiles p with @p g on a
+     * shortest path from CB @p cb_idx to p (dist(cb, g) + dist(g, p)
+     * == dist(cb, p)); built on first use.
+     */
+    std::size_t shortcutRow(int cb_idx, const Coord &g) const;
 
     const EirProblem *prob_;
     EvalWeights weights_;
@@ -194,7 +231,17 @@ class EirEvaluator
     double loadRef_;  ///< PEs per CB if all traffic used one point
     std::vector<std::uint8_t> cbMask_;  ///< CB occupancy, row-major
     std::vector<double> loadFactor_;    ///< 1 + 0.3 x hot coverage
-    mutable std::unordered_map<MemoKey, EvalContribution, MemoKeyHash>
+    // Tile bitsets over the row-major grid, words_ 64-bit words each.
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> nonCb_;  ///< tiles that send flow
+    std::vector<std::uint64_t> onAxis_; ///< per CB: senders on its row/col
+    std::vector<std::int64_t> localHops_; ///< per CB: sum of dist(cb, p)
+    int numSenders_ = 0;                ///< non-CB tiles
+    /** Per (CB, tile): shortcut row index, -1 until first use. */
+    mutable std::vector<std::int32_t> shortcutIdx_;
+    mutable std::vector<std::uint64_t> shortcutRows_;
+    mutable std::unordered_map<MemoKey, EvalContribution, MemoKeyHash,
+                               MemoKeyEq>
         memo_;
     mutable EvalContribution scratch_; ///< overflow result past the cap
     mutable std::uint64_t memoHits_ = 0;

@@ -54,32 +54,22 @@ HotZoneMap::HotZoneMap(const std::vector<Coord> &cbs, int width, int height)
     : w_(width), h_(height),
       cover_(static_cast<std::size_t>(width * height), 0)
 {
-    for (const auto &cb : cbs) {
-        eqx_assert(inBounds(cb, w_, h_), "CB out of bounds");
-        for (const auto &t : hotZoneTiles(cb, w_, h_))
-            ++cover_[static_cast<std::size_t>(t.y * w_ + t.x)];
-    }
+    for (const auto &cb : cbs)
+        addZone(cb, 1);
 }
 
-int
-HotZoneMap::coverage(const Coord &c) const
+void
+HotZoneMap::addZone(const Coord &cb, int delta)
 {
-    if (!inBounds(c, w_, h_))
-        return 0;
-    return cover_[static_cast<std::size_t>(c.y * w_ + c.x)];
-}
-
-int
-tilePenalty(const HotZoneMap &map, const Coord &c)
-{
-    int m = 0;
-    for (Dir d : {Dir::North, Dir::East, Dir::South, Dir::West}) {
-        Coord s = dirStep(d);
-        Coord n{c.x + s.x, c.y + s.y};
-        if (map.isOverlap(n))
-            ++m;
+    eqx_assert(inBounds(cb, w_, h_), "CB out of bounds");
+    // The hot zone is the 8-neighbourhood: DAZ union CAZ.
+    for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+            Coord t{cb.x + dx, cb.y + dy};
+            if ((dx != 0 || dy != 0) && inBounds(t, w_, h_))
+                cover_[static_cast<std::size_t>(t.y * w_ + t.x)] += delta;
+        }
     }
-    return m * (m + 1) / 2;
 }
 
 int

@@ -32,8 +32,17 @@ class HotZoneMap
   public:
     HotZoneMap(const std::vector<Coord> &cbs, int width, int height);
 
-    /** Number of CB hot zones covering this tile. */
-    int coverage(const Coord &c) const;
+    /** Add (@p delta = 1) or remove (-1) one CB's hot zone. */
+    void addZone(const Coord &cb, int delta);
+
+    /** Number of CB hot zones covering this tile (0 off the mesh). */
+    int
+    coverage(const Coord &c) const
+    {
+        if (c.x < 0 || c.x >= w_ || c.y < 0 || c.y >= h_)
+            return 0;
+        return cover_[static_cast<std::size_t>(c.y * w_ + c.x)];
+    }
 
     /** A tile covered by >= 2 distinct CB hot zones. */
     bool isOverlap(const Coord &c) const { return coverage(c) >= 2; }
@@ -55,7 +64,13 @@ class HotZoneMap
  * overlaps, the score is sum(1..m) = m(m+1)/2 to reflect compounded
  * delay (paper's example: two overlap neighbours -> 1+2 = 3).
  */
-int tilePenalty(const HotZoneMap &map, const Coord &c);
+inline int
+tilePenalty(const HotZoneMap &map, const Coord &c)
+{
+    int m = map.isOverlap({c.x, c.y - 1}) + map.isOverlap({c.x + 1, c.y}) +
+            map.isOverlap({c.x, c.y + 1}) + map.isOverlap({c.x - 1, c.y});
+    return m * (m + 1) / 2;
+}
 
 /** Total penalty of a placement: the sum of all tile penalties. */
 int placementPenalty(const std::vector<Coord> &cbs, int width, int height);

@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -51,10 +52,9 @@ randomGroup(const EirProblem &prob, int cb_idx, const TileMask &taken,
             Rng &rng, double take_prob)
 {
     std::vector<Coord> group;
-    std::vector<int> octs = {0, 1, 2, 3, 4, 5, 6, 7};
+    std::array<int, 8> octs{{0, 1, 2, 3, 4, 5, 6, 7}};
     rng.shuffle(octs);
 
-    const Coord &cb = prob.cbs()[static_cast<std::size_t>(cb_idx)];
     auto is_taken = [&](const Coord &c) {
         if (taken.test(c))
             return true;
@@ -64,14 +64,15 @@ randomGroup(const EirProblem &prob, int cb_idx, const TileMask &taken,
         return false;
     };
 
+    std::vector<Coord> opts;
     for (int oct : octs) {
         if (static_cast<int>(group.size()) >= prob.maxPerGroup())
             break;
         if (!rng.chance(take_prob))
             continue;
-        std::vector<Coord> opts;
-        for (const auto &c : prob.candidates(cb_idx))
-            if (directionOctant(cb, c) == oct && !is_taken(c))
+        opts.clear();
+        for (const auto &c : prob.candidatesIn(cb_idx, oct))
+            if (!is_taken(c))
                 opts.push_back(c);
         if (opts.empty())
             continue;
@@ -98,13 +99,13 @@ mctsSearch(const EirProblem &prob, const EirEvaluator &eval,
         root.depth = level;
 
         auto initUntried = [&](Node &node) {
-            auto groups = prob.groupsFor(node.depth, acc.takenMask());
-            rng.shuffle(groups);
-            if (static_cast<int>(groups.size()) >
-                params.maxChildrenPerNode)
-                groups.resize(
-                    static_cast<std::size_t>(params.maxChildrenPerNode));
-            node.untried = std::move(groups);
+            GroupList groups = prob.groupsFor(node.depth, acc.takenMask());
+            groups.shuffle(rng);
+            groups.truncate(
+                static_cast<std::size_t>(params.maxChildrenPerNode));
+            node.untried.reserve(groups.size());
+            for (std::size_t i = 0; i < groups.size(); ++i)
+                node.untried.push_back(groups.group(i));
             node.untriedInit = true;
         };
 

@@ -17,8 +17,8 @@ namespace {
  */
 void
 backtrack(int n, int row, std::vector<int> &cols,
-          std::vector<bool> &used_col, std::vector<bool> &used_sum,
-          std::vector<bool> &used_diff, const std::vector<int> &col_order,
+          std::vector<char> &used_col, std::vector<char> &used_sum,
+          std::vector<char> &used_diff, const std::vector<int> &col_order,
           std::vector<std::vector<Coord>> &out, std::size_t max_solutions)
 {
     if (out.size() >= max_solutions)
@@ -58,9 +58,9 @@ enumerate(int n, std::size_t max_solutions,
 {
     std::vector<std::vector<Coord>> out;
     std::vector<int> cols(static_cast<std::size_t>(n), -1);
-    std::vector<bool> used_col(static_cast<std::size_t>(n), false);
-    std::vector<bool> used_sum(static_cast<std::size_t>(2 * n - 1), false);
-    std::vector<bool> used_diff(static_cast<std::size_t>(2 * n - 1), false);
+    std::vector<char> used_col(static_cast<std::size_t>(n), 0);
+    std::vector<char> used_sum(static_cast<std::size_t>(2 * n - 1), 0);
+    std::vector<char> used_diff(static_cast<std::size_t>(2 * n - 1), 0);
     backtrack(n, 0, cols, used_col, used_sum, used_diff, col_order, out,
               max_solutions);
     return out;
@@ -112,27 +112,48 @@ sampleNQueens(int n, std::size_t count, Rng &rng)
 namespace {
 
 /**
+ * Penalty of the tiles in the 5x5 box around @p c: every tile whose
+ * penalty can change when the CB at @p c leaves (its hot zone is the
+ * 3x3 ring, and a tile's penalty reads its 4 direct neighbours).
+ */
+int
+boxPenalty(const HotZoneMap &map, const Coord &c, int n)
+{
+    int total = 0;
+    for (int y = std::max(0, c.y - 2); y <= std::min(n - 1, c.y + 2); ++y)
+        for (int x = std::max(0, c.x - 2); x <= std::min(n - 1, c.x + 2);
+             ++x)
+            total += tilePenalty(map, Coord{x, y});
+    return total;
+}
+
+/**
  * Greedy trim: remove queens one at a time, each time deleting the one
- * whose removal yields the lowest hot-zone penalty.
+ * whose removal yields the lowest hot-zone penalty (the first such on
+ * ties). One coverage map serves the whole trim, and each candidate
+ * is scored by its exact integer penalty delta over the box its
+ * removal can touch: the penalty total outside the box is the same
+ * for every candidate, so comparing deltas picks the same CB as
+ * comparing whole-placement penalties.
  */
 std::vector<Coord>
 greedyTrim(std::vector<Coord> cbs, int num_cbs, int n)
 {
+    HotZoneMap map(cbs, n, n);
     while (static_cast<int>(cbs.size()) > num_cbs) {
         int best_idx = -1;
-        int best_penalty = 0;
+        int best_delta = 0;
         for (std::size_t i = 0; i < cbs.size(); ++i) {
-            std::vector<Coord> trial;
-            trial.reserve(cbs.size() - 1);
-            for (std::size_t j = 0; j < cbs.size(); ++j)
-                if (j != i)
-                    trial.push_back(cbs[j]);
-            int p = placementPenalty(trial, n, n);
-            if (best_idx < 0 || p < best_penalty) {
+            int before = boxPenalty(map, cbs[i], n);
+            map.addZone(cbs[i], -1);
+            int delta = boxPenalty(map, cbs[i], n) - before;
+            map.addZone(cbs[i], 1);
+            if (best_idx < 0 || delta < best_delta) {
                 best_idx = static_cast<int>(i);
-                best_penalty = p;
+                best_delta = delta;
             }
         }
+        map.addZone(cbs[static_cast<std::size_t>(best_idx)], -1);
         cbs.erase(cbs.begin() + best_idx);
     }
     return cbs;

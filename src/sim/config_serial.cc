@@ -123,12 +123,8 @@ serializeDesignParams(const DesignParams &dp, const std::string &p,
     addCoordList(out, p + "fixed_placement", dp.fixedPlacement);
 }
 
-/**
- * A pinned design is hashed by the facts the simulator consumes:
- * geometry, CB placement and the per-CB EIR groups. Everything else
- * in EquiNoxDesign (plan, RDL report, evaluation) derives from those
- * deterministically through the design flow.
- */
+} // namespace
+
 void
 serializeDesign(const EquiNoxDesign &d, KvBlob &out)
 {
@@ -147,6 +143,8 @@ serializeDesign(const EquiNoxDesign &d, KvBlob &out)
     }
     out.add("pre.eir_groups", groups);
 }
+
+namespace {
 
 void
 serializeFaultConfig(const FaultConfig &fc, KvBlob &out)

@@ -72,6 +72,15 @@ class KvBlob
  */
 void serializeSystemConfig(const SystemConfig &sc, KvBlob &out);
 
+/**
+ * Serialize a pinned design under "pre." keys by the facts the
+ * simulator consumes: geometry, CB placement and the per-CB EIR
+ * groups. Everything else in EquiNoxDesign (plan, RDL report,
+ * evaluation) derives from those deterministically through the
+ * design flow.
+ */
+void serializeDesign(const EquiNoxDesign &d, KvBlob &out);
+
 /** Serialize every field of @p wp under "wp." keys. */
 void serializeWorkloadProfile(const WorkloadProfile &wp, KvBlob &out);
 

@@ -6,6 +6,8 @@
 
 #include "core/design_flow.hh"
 #include "core/placement.hh"
+#include "golden.hh"
+#include "sim/config_serial.hh"
 
 namespace eqx {
 namespace {
@@ -134,6 +136,62 @@ TEST(DesignFlow, KnightPathWhenMoreCbsThanN)
     EXPECT_EQ(d.cbs.size(), 10u);
     EirProblem prob(8, 8, d.cbs, 3, 4);
     EXPECT_TRUE(prob.valid(d.eirGroups));
+}
+
+/**
+ * FNV-1a over a design's serializeDesign blob (placement and EIR
+ * groups, the bytes a cell digest hashes) plus its search cost,
+ * placement penalty and score.
+ */
+std::uint64_t
+designDigest(const EquiNoxDesign &d)
+{
+    KvBlob b;
+    serializeDesign(d, b);
+    b.add("evaluations", d.evaluations);
+    b.add("penalty", d.placementPenalty);
+    b.add("score", d.eval.score);
+    return golden::fnv1a(b.canonical());
+}
+
+TEST(DesignFlow, DefaultDesignGoldens)
+{
+    // Default DesignParams (MCTS, 600 iterations per level, 4 polish
+    // passes), the design every EquiNox cell at these sizes gets.
+    // Pins the N-Queen sampling and trim (12x12, 16x16), the MCTS
+    // and the polish byte for byte.
+    struct Pin
+    {
+        int side;
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t evaluations;
+    };
+    static const Pin kPins[] = {
+        {8, 1, 0xbb7219bf5434ac76ULL, 6729},
+        {8, 2, 0x78757ffa34f0fdULL, 7412},
+        {8, 3, 0xe2012a3e69b382bbULL, 7581},
+        {8, 4, 0x78757ffa34f0fdULL, 7412},
+        {12, 1, 0xdbe17a7031308d1ULL, 17844},
+        {12, 2, 0xa65b7561069c7b21ULL, 21077},
+        {12, 3, 0x8784f52250064563ULL, 27501},
+        {12, 4, 0x53d4766976c9163dULL, 18374},
+        {16, 1, 0x6842953173a14fbfULL, 26353},
+        {16, 2, 0x37cb070f162550ceULL, 23452},
+        {16, 3, 0xff2ebf6ee1250462ULL, 26713},
+        {16, 4, 0x40da056cdae5ef6cULL, 26541},
+    };
+    for (const Pin &p : kPins) {
+        DesignParams dp;
+        dp.width = dp.height = p.side;
+        dp.seed = p.seed;
+        EquiNoxDesign d = buildEquiNoxDesign(dp);
+        std::uint64_t digest = designDigest(d);
+        EXPECT_EQ(digest, p.digest) << p.side << "x" << p.side
+                                    << " seed " << p.seed;
+        EXPECT_EQ(d.evaluations, p.evaluations)
+            << p.side << "x" << p.side << " seed " << p.seed;
+    }
 }
 
 } // namespace

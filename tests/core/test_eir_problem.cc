@@ -57,17 +57,21 @@ TEST(EirProblem, CandidatesAvoidOwnHotZoneAndCbs)
 TEST(EirProblem, GroupsObeyOctantAndSizeRules)
 {
     EirProblem prob(8, 8, spreadCbs(), 3, 4);
-    auto groups = prob.groupsFor(3, TileMask(8, 8));
+    GroupList groups = prob.groupsFor(3, TileMask(8, 8));
     ASSERT_FALSE(groups.empty());
     const Coord &cb = prob.cbs()[3];
-    for (const auto &g : groups) {
-        EXPECT_LE(g.size(), 4u);
+    std::size_t prev_size = 4;
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        auto g = groups.group(i);
+        EXPECT_LE(g.size(), prev_size); // larger groups first
+        prev_size = g.size();
         std::set<int> octs;
         for (const auto &e : g)
             EXPECT_TRUE(octs.insert(directionOctant(cb, e)).second);
     }
     // Empty fallback group is present exactly once, at the end.
-    EXPECT_TRUE(groups.back().empty());
+    EXPECT_TRUE(groups.group(groups.size() - 1).empty());
+    EXPECT_FALSE(groups.group(groups.size() - 2).empty());
 }
 
 TEST(EirProblem, GroupsExcludeTakenTiles)
@@ -78,10 +82,37 @@ TEST(EirProblem, GroupsExcludeTakenTiles)
     Coord taken = all.front();
     TileMask mask(8, 8);
     mask.add(taken);
-    auto groups = prob.groupsFor(3, mask);
-    for (const auto &g : groups)
-        for (const auto &e : g)
+    GroupList groups = prob.groupsFor(3, mask);
+    for (std::size_t i = 0; i < groups.size(); ++i)
+        for (const auto &e : groups.group(i))
             EXPECT_FALSE(e == taken);
+}
+
+TEST(EirProblem, GroupListShufflesLikeAVector)
+{
+    // MCTS shuffles the packed list in place of the vector of groups
+    // it used to shuffle; the permutation and the draws it consumes
+    // must be the same.
+    EirProblem prob(8, 8, spreadCbs(), 3, 4);
+    GroupList groups = prob.groupsFor(3, TileMask(8, 8));
+    std::vector<std::vector<Coord>> vec;
+    for (std::size_t i = 0; i < groups.size(); ++i)
+        vec.push_back(groups.group(i));
+    ASSERT_GT(vec.size(), 64u);
+
+    Rng a(11), b(11);
+    groups.shuffle(a);
+    b.shuffle(vec);
+    ASSERT_EQ(groups.size(), vec.size());
+    for (std::size_t i = 0; i < vec.size(); ++i)
+        EXPECT_EQ(groups.group(i), vec[i]) << i;
+    EXPECT_EQ(a.next(), b.next());
+
+    groups.truncate(64);
+    ASSERT_EQ(groups.size(), 64u);
+    EXPECT_EQ(groups.group(63), vec[63]);
+    groups.truncate(100); // never grows
+    EXPECT_EQ(groups.size(), 64u);
 }
 
 TEST(EirProblem, ValidAcceptsLegalSelection)
@@ -91,7 +122,7 @@ TEST(EirProblem, ValidAcceptsLegalSelection)
     EirSelection sel;
     TileMask taken(8, 8);
     for (int i = 0; i < prob.numCbs(); ++i) {
-        auto g = prob.groupsFor(i, taken).front();
+        auto g = prob.groupsFor(i, taken).group(0);
         for (const auto &t : g)
             taken.add(t);
         sel.push_back(std::move(g));

@@ -57,9 +57,8 @@ expectSameBreakdown(const EvalBreakdown &a, const EvalBreakdown &b)
 
 /** Incremental == from-scratch at every prefix of random selections. */
 void
-checkScale(int n, int num_cbs, int rounds)
+checkProblem(const EirProblem &prob, int rounds)
 {
-    EirProblem prob = paperProblem(n, num_cbs);
     EirEvaluator eval(&prob);
     EvalAccumulator acc(&eval);
     Rng rng(42);
@@ -79,6 +78,12 @@ checkScale(int n, int num_cbs, int rounds)
     }
 }
 
+void
+checkScale(int n, int num_cbs, int rounds)
+{
+    checkProblem(paperProblem(n, num_cbs), rounds);
+}
+
 TEST(EvalIncremental, MatchesFromScratch6x6)
 {
     checkScale(6, 4, 6);
@@ -92,6 +97,53 @@ TEST(EvalIncremental, MatchesFromScratchPaperScale8x8)
 TEST(EvalIncremental, MatchesFromScratch16x16)
 {
     checkScale(16, 8, 3);
+}
+
+TEST(EvalIncremental, MatchesFromScratchOnTorusAndCMesh)
+{
+    // Fabrics whose hop metric is not Manhattan (DESIGN.md §17): the
+    // wrap links and the shared CMesh routers change which group
+    // tiles lie on a shortest path.
+    Rng place(7);
+    auto placed = bestNQueenPlacement(12, 8, place);
+    for (TopologyKind kind : {TopologyKind::Torus, TopologyKind::CMesh}) {
+        TopoSpec topo;
+        topo.kind = kind;
+        SCOPED_TRACE(topologyKindName(kind));
+        checkProblem(EirProblem(12, 12, placed.cbs, 3, 4, topo), 3);
+    }
+}
+
+TEST(EvalIncremental, ArbitraryGroupsMatchFromScratch)
+{
+    // The evaluator scores any ordered tile list, legal or not:
+    // repeated tiles, other CBs' tiles, tiles far outside the EIR
+    // window and lists longer than maxPerGroup. Buffer Selection
+    // still reads the first two eligible entries in list order.
+    // (A link from a CB to its own tile is the one thing the oracle's
+    // link plan rejects.)
+    EirProblem prob = paperProblem(8, 8);
+    EirEvaluator eval(&prob);
+    Rng rng(5);
+    for (int round = 0; round < 100; ++round) {
+        EirSelection sel(static_cast<std::size_t>(prob.numCbs()));
+        for (int cb = 0; cb < prob.numCbs(); ++cb) {
+            auto &group = sel[static_cast<std::size_t>(cb)];
+            int n = static_cast<int>(rng.nextBounded(7));
+            while (static_cast<int>(group.size()) < n) {
+                Coord t{static_cast<int>(rng.nextBounded(8)),
+                        static_cast<int>(rng.nextBounded(8))};
+                if (!group.empty() && rng.chance(0.25))
+                    t = group[rng.nextBounded(group.size())];
+                if (t != prob.cbs()[static_cast<std::size_t>(cb)])
+                    group.push_back(t);
+            }
+        }
+        EvalAccumulator acc(&eval);
+        for (int cb = 0; cb < prob.numCbs(); ++cb)
+            acc.push(cb, sel[static_cast<std::size_t>(cb)]);
+        expectSameBreakdown(acc.evaluate(), referenceEvaluate(eval, sel));
+    }
 }
 
 TEST(EvalIncremental, PushPopRestoresScoreBitExactly)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/hotzone.hh"
 
 namespace eqx {
@@ -60,6 +62,36 @@ TEST(HotZone, PenaltyGrowsWithCrowding)
     int spread = placementPenalty({{1, 1}, {6, 1}, {1, 6}, {6, 6}}, 8, 8);
     int crowded = placementPenalty({{2, 2}, {4, 2}, {2, 4}, {4, 4}}, 8, 8);
     EXPECT_LT(spread, crowded);
+}
+
+TEST(HotZone, AddZoneCoversExactlyTheHotZoneTiles)
+{
+    // HotZoneMap's per-CB zone (also what the incremental N-Queen trim
+    // adds and removes) is DAZ union CAZ, clipped at every edge.
+    for (int y = 0; y < 5; ++y) {
+        for (int x = 0; x < 5; ++x) {
+            Coord cb{x, y};
+            HotZoneMap map({{2, 2}}, 5, 5);
+            HotZoneMap base({{2, 2}}, 5, 5);
+            map.addZone(cb, 1);
+            auto zone = hotZoneTiles(cb, 5, 5);
+            for (int ty = 0; ty < 5; ++ty) {
+                for (int tx = 0; tx < 5; ++tx) {
+                    Coord t{tx, ty};
+                    int in_zone = static_cast<int>(
+                        std::count(zone.begin(), zone.end(), t));
+                    EXPECT_EQ(map.coverage(t), base.coverage(t) + in_zone)
+                        << "cb (" << x << "," << y << ") tile (" << tx
+                        << "," << ty << ")";
+                }
+            }
+            map.addZone(cb, -1);
+            for (int ty = 0; ty < 5; ++ty)
+                for (int tx = 0; tx < 5; ++tx)
+                    EXPECT_EQ(map.coverage({tx, ty}),
+                              base.coverage({tx, ty}));
+        }
+    }
 }
 
 TEST(HotZone, OutOfBoundsCoverageIsZero)

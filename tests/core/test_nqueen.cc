@@ -8,6 +8,7 @@
 #include "core/hotzone.hh"
 #include "core/nqueen.hh"
 #include "core/placement.hh"
+#include "trim_reference.hh"
 
 namespace eqx {
 namespace {
@@ -98,6 +99,41 @@ TEST(NQueen, BestPlacementDeterministicForSeed)
     auto pb = bestNQueenPlacement(8, 8, b);
     EXPECT_EQ(pa.cbs, pb.cbs);
     EXPECT_EQ(pa.penalty, pb.penalty);
+}
+
+TEST(NQueen, IncrementalTrimMatchesReference)
+{
+    // bestNQueenPlacement trims by per-candidate penalty deltas over
+    // one coverage map; the oracle rebuilds and rescores the whole
+    // placement for every candidate. Same samples and the same
+    // first-minimum rule, so the winner and its penalty must agree.
+    constexpr std::size_t kSamples = 48;
+    for (int n = 9; n <= 16; ++n) {
+        for (int k = 4; k <= 8; ++k) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                Rng rng(seed);
+                ScoredPlacement got =
+                    bestNQueenPlacement(n, k, rng, kSamples);
+
+                Rng ref_rng(seed);
+                ScoredPlacement want;
+                bool first = true;
+                for (auto &sol : sampleNQueens(n, kSamples, ref_rng)) {
+                    auto cbs = referenceGreedyTrim(std::move(sol), k, n);
+                    int p = placementPenalty(cbs, n, n);
+                    if (first || p < want.penalty) {
+                        want.cbs = std::move(cbs);
+                        want.penalty = p;
+                        first = false;
+                    }
+                }
+                EXPECT_EQ(got.cbs, want.cbs)
+                    << "n=" << n << " k=" << k << " seed=" << seed;
+                EXPECT_EQ(got.penalty, want.penalty)
+                    << "n=" << n << " k=" << k << " seed=" << seed;
+            }
+        }
+    }
 }
 
 TEST(Knight, PlacesRequestedCount)
