@@ -138,6 +138,11 @@ class CounterArray
     }
 
     void inc(Id id) { ++counts_[static_cast<std::size_t>(id)]; }
+    void
+    add(Id id, std::uint64_t n)
+    {
+        counts_[static_cast<std::size_t>(id)] += n;
+    }
 
     std::uint64_t
     operator[](Id id) const

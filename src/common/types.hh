@@ -24,6 +24,25 @@ using Cycle = std::uint64_t;
  */
 constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
 
+/**
+ * One bit of an owner's active-set bitmask: the wake-on-event hook of
+ * DESIGN.md §10. A component that left its owner's active set is put
+ * back by firing this from the event that can unblock it. A default
+ * WakeBit is unwired and never fires.
+ */
+struct WakeBit
+{
+    std::uint64_t *word = nullptr;
+    std::uint64_t mask = 0;
+
+    void
+    fire() const
+    {
+        if (word)
+            *word |= mask;
+    }
+};
+
 /** Flat node (tile) identifier inside one mesh. */
 using NodeId = std::int32_t;
 

@@ -30,6 +30,10 @@ class PacketInjector
     virtual ~PacketInjector() = default;
     virtual bool canInject(NodeId dst) const = 0;
     virtual bool tryInject(const PacketPtr &pkt) = 0;
+    /** Fire @p w whenever a core-queue slot frees in any NI this
+     *  injector can inject into: the only events that can turn a
+     *  refusal into an acceptance (DESIGN.md §10). */
+    virtual void watchSlots(const WakeBit &w) = 0;
 };
 
 /** Line-interleaved mapping of physical addresses to cache banks. */

@@ -57,7 +57,7 @@ ProcessingElement::sendRequest(PacketType type, int bits)
     // backpressure, then costs no packet allocation.
     NodeId cb = amap_->cbNodeOf(pending_.addr);
     if (!injector_->canInject(cb)) {
-        counters_.inc(Stat::StallInject);
+        stall(Stat::StallInject);
         return false;
     }
     bool sent = injector_->tryInject(
@@ -76,10 +76,12 @@ ProcessingElement::processPendingMem()
             counters_.inc(Stat::L1ReadHits);
             return true;
         }
+        lastTick_.l1Miss = true;
         if (l1Mshr_.pending(line)) {
+            // A Full answer leaves the table untouched.
             auto r = l1Mshr_.allocate(line, 0);
             if (r == MshrTable::Alloc::Full) {
-                counters_.inc(Stat::StallMshrTargets);
+                stall(Stat::StallMshrTargets);
                 return false;
             }
             ++outstanding_;
@@ -87,7 +89,7 @@ ProcessingElement::processPendingMem()
             return true;
         }
         if (l1Mshr_.full()) {
-            counters_.inc(Stat::StallMshrFull);
+            stall(Stat::StallMshrFull);
             return false;
         }
         if (!sendRequest(PacketType::ReadRequest, sizes_->readRequestBits))
@@ -114,36 +116,55 @@ ProcessingElement::processPendingMem()
 void
 ProcessingElement::tick(Cycle)
 {
+    // Everything but the stall counters marks the tick as moved; an
+    // L1 hit or MSHR merge issues, so it moves the tick too.
+    lastTick_ = TickRecord{};
     // Coherence acks first: fire-and-forget control packets that must
     // not be starved by the issue loop's structural stalls.
     while (!pendingAcks_.empty()) {
         if (!injector_->tryInject(pendingAcks_.front())) {
             counters_.inc(Stat::StallAckInject);
+            lastTick_.ackStall = true;
             break;
         }
         pendingAcks_.pop_front();
         counters_.inc(Stat::InvAcksSent);
+        lastTick_.moved = true;
     }
     for (int slot = 0; slot < params_.issueWidth; ++slot) {
         if (outstanding_ >= params_.maxOutstanding) {
-            counters_.inc(Stat::StallWindow);
+            stall(Stat::StallWindow);
             return;
         }
         if (!havePending_) {
             if (!trace_->next(pending_))
                 return; // stream exhausted
             havePending_ = true;
+            lastTick_.moved = true;
         }
         if (!pending_.isMem) {
             ++instsIssued_;
             havePending_ = false;
+            lastTick_.moved = true;
             continue;
         }
         if (!processPendingMem())
             return; // structural stall: retry the same op next cycle
         ++instsIssued_;
         havePending_ = false;
+        lastTick_.moved = true;
     }
+}
+
+void
+ProcessingElement::replayIdle(std::uint64_t ticks)
+{
+    if (lastTick_.ackStall)
+        counters_.add(Stat::StallAckInject, ticks);
+    if (lastTick_.stall != Stat::Count)
+        counters_.add(lastTick_.stall, ticks);
+    if (lastTick_.l1Miss)
+        l1_.replayMisses(ticks);
 }
 
 bool
@@ -162,6 +183,7 @@ ProcessingElement::canAccept(const PacketPtr &)
 void
 ProcessingElement::accept(const PacketPtr &pkt, Cycle)
 {
+    wake_.fire();
     if (pkt->type == PacketType::ReadReply) {
         Addr line = amap_->lineOf(pkt->addr);
         auto targets = l1Mshr_.complete(line);

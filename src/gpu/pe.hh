@@ -56,6 +56,30 @@ class ProcessingElement : public PacketSink
     /** Advance one core cycle. */
     void tick(Cycle now);
 
+    /**
+     * Let System park this PE (DESIGN.md §10): from now on accept()
+     * fires @p self, and so does every core-queue slot that frees in an
+     * NI the injector can reach — the only events that can end a tick
+     * which changed nothing. An unwired PE (unit tests, the layer
+     * replica) is simply ticked every cycle.
+     */
+    void
+    wire(const WakeBit &self)
+    {
+        wake_ = self;
+        injector_->watchSlots(self);
+    }
+
+    /**
+     * The last tick issued nothing, drew no op, sent no ack and left
+     * the outstanding window and L1 hits alone: it bumped only stall
+     * counters, and every tick repeats it until a wake event.
+     */
+    bool idleLastTick() const { return !lastTick_.moved; }
+
+    /** Credit @p ticks skipped repeats of the last (idle) tick. */
+    void replayIdle(std::uint64_t ticks);
+
     /** Stream exhausted and every outstanding access returned. */
     bool done() const;
 
@@ -114,6 +138,14 @@ class ProcessingElement : public PacketSink
     /** Send the pending op's request to its CB; false = stall. */
     bool sendRequest(PacketType type, int bits);
 
+    /** Count a structural stall and note it for replayIdle(). */
+    void
+    stall(Stat s)
+    {
+        counters_.inc(s);
+        lastTick_.stall = s;
+    }
+
     /** Try to complete the pending memory op; false = stall. */
     bool processPendingMem();
 
@@ -136,6 +168,17 @@ class ProcessingElement : public PacketSink
 
     std::uint64_t instsIssued_ = 0;
     CounterArray<Stat> counters_;
+
+    /** What the last tick did, as replayIdle() repeats it. */
+    struct TickRecord
+    {
+        bool moved = false;        ///< anything beyond stall counters
+        bool ackStall = false;     ///< StallAckInject counted
+        bool l1Miss = false;       ///< the stalled read probed L1
+        Stat stall = Stat::Count;  ///< the issue stall, if any
+    };
+    TickRecord lastTick_;
+    WakeBit wake_;
 };
 
 } // namespace eqx

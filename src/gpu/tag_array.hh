@@ -47,6 +47,15 @@ class TagArray
     /** Present + LRU touch. */
     bool probe(Addr line);
 
+    /** Account @p n missing probes at once: a parked PE's skipped
+     *  retries of a read that keeps missing. */
+    void
+    replayMisses(std::uint64_t n)
+    {
+        clock_ += n;
+        misses_ += n;
+    }
+
     /** Insert a line (must not be present); returns the victim. */
     Victim insert(Addr line, bool dirty);
 

@@ -50,7 +50,8 @@ Network::Network(const NetworkSpec &spec)
     int nr = topo_->numRouters();
     routers_.reserve(static_cast<std::size_t>(nr));
     for (NodeId i = 0; i < nr; ++i)
-        routers_.emplace_back(i, topo_.get(), &params_, &activity_);
+        routers_.emplace_back(i, topo_.get(), &params_, &activity_,
+                              &tick_);
 
     // EIR interposer links: spans within the 1-cycle interposer reach
     // (2 hops) traverse in a single tick; longer links would need
@@ -275,6 +276,9 @@ Network::nextDueCycle(Cycle core_now) const
     int te = params_.ticksEvenCycle, to = params_.ticksOddCycle;
     if (te + to == 0)
         return kNeverCycle; // clockless network never ticks
+    // Parked components hold work a wake event will resume.
+    if (parkedRouters_ != 0 || parkedNis_ != 0)
+        return core_now + 1;
     for (std::uint64_t w : activeRouters_)
         if (w != 0)
             return core_now + 1;
@@ -361,24 +365,96 @@ Network::internalTick()
     // deliver() — so the per-router walk equals running each stage
     // over the whole network in turn, while touching each router's
     // state once. The router active set cannot grow during the walk
-    // (flits only arrive in deliver()), and a router that drained
-    // deregisters inline: no buffered flits means SA/VA/RC are
-    // provably no-ops until the next acceptFlit.
+    // (flits and credits only arrive in deliver()). A router leaves it
+    // inline once its next visit is provably a no-op: drained (until
+    // the next acceptFlit), or parked on credits (until deliver()
+    // hands it a flit or a credit that can move it).
     forEachSetBitLive(activeRouters_, [&](std::size_t i) {
         auto &r = routers_[i];
         r.tickStages(tick_);
-        if (!r.hasBufferedFlits())
+        bool off = !r.hasBufferedFlits();
+        if (!off && r.tryPark(tick_)) {
+            ++parkedRouters_;
+            off = true;
+        }
+        if (off)
             activeRouters_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     });
     // NI pass with inline deregistration: an idle NI (nothing queued,
     // mid-serialization, delivered or awaiting reassembly) is a no-op
-    // until inject()/acceptEjectedFlit() re-activates it.
+    // until inject()/acceptEjectedFlit() re-activates it, and an NI
+    // whose tick moved nothing repeats that tick until a credit, an
+    // inject() or an ejected flit wakes it.
     forEachSetBitLive(activeNis_, [&](std::size_t i) {
         auto &ni = *nis_[i];
-        ni.tick(tick_, coreCycle_);
-        if (ni.idle())
+        if (ni.parked()) {
+            ni.unpark(tick_);
+            --parkedNis_;
+        }
+        bool moved = ni.tick(tick_, coreCycle_);
+        bool off = ni.idle();
+        if (!off && !moved && ni.tryPark(tick_)) {
+            ++parkedNis_;
+            off = true;
+        }
+        if (off)
             activeNis_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     });
+    if (parkedRouters_ != 0)
+        checkParkedProgress();
+}
+
+void
+Network::checkParkedProgress() const
+{
+    // Progress is still possible while any router or NI is active, any
+    // flit or credit is on a wire, or the fault plane owes an event.
+    for (std::uint64_t w : activeRouters_)
+        if (w != 0)
+            return;
+    for (std::uint64_t w : activeNis_)
+        if (w != 0)
+            return;
+    for (const auto &slot : pendingWheel_)
+        if (!slot.flits.empty() || !slot.credits.empty())
+            return;
+    if (plane_ && !plane_->quiescent())
+        return;
+    // Nothing can wake the parked routers: each waits on a credit or
+    // an output VC only another parked router could release.
+    constexpr int kShown = 16;
+    std::string msg;
+    int v = params_.vcsPerPort;
+    auto vcName = [v](int flat) {
+        return "(in " + std::to_string(flat / v) + " vc " +
+               std::to_string(flat % v) + ")";
+    };
+    int shown = 0;
+    for (const Router &r : routers_) {
+        if (!r.parked() || ++shown > kShown)
+            continue;
+        msg += "\n  router " + std::to_string(r.id()) + ":";
+        for (std::uint64_t m = r.saWaitingVcs(); m != 0; m &= m - 1) {
+            int flat = std::countr_zero(m);
+            Router::VcView vc = r.inputVc(flat / v, flat % v);
+            msg += " " + vcName(flat) + " needs a credit for (out " +
+                   std::to_string(vc.outPort) + " vc " +
+                   std::to_string(vc.outVc) + ");";
+        }
+        for (std::uint64_t m = r.vaWaitingVcs(); m != 0; m &= m - 1) {
+            int flat = std::countr_zero(m);
+            Router::VcView vc = r.inputVc(flat / v, flat % v);
+            msg += " " + vcName(flat) + " needs a free VC on out";
+            for (int p : vc.routeCandidates)
+                msg += " " + std::to_string(p);
+            msg += ";";
+        }
+    }
+    if (shown > kShown)
+        msg += "\n  ... and " + std::to_string(shown - kShown) + " more";
+    eqx_fatal("network '", params_.name, "' deadlocked at tick ", tick_,
+              ": ", parkedRouters_, " router(s) parked with nothing "
+              "active and nothing in flight to wake them:", msg);
 }
 
 void
@@ -421,8 +497,12 @@ Network::deliver()
             }
         }
         const auto &w = routerFlitWires_[ev.wire];
-        routers_[static_cast<std::size_t>(w.router)].acceptFlit(
-            w.port, std::move(ev.f), tick_);
+        Router &r = routers_[static_cast<std::size_t>(w.router)];
+        if (r.parked()) {
+            r.unpark(tick_); // settle before the flit changes its state
+            --parkedRouters_;
+        }
+        r.acceptFlit(w.port, std::move(ev.f), tick_);
         markRouterActive(w.router);
     }
     slot.flits.clear();
@@ -442,15 +522,23 @@ Network::deliver()
                 __builtin_prefetch(&routers_[static_cast<std::size_t>(
                     routerCreditWires_[nx.wire].router)]);
         }
+        // A credit wakes a parked component; every other one is on
+        // its active set already or holds nothing a credit could move.
         const auto &ev = slot.credits[k];
         if (ev.wire & kNiWire) {
             const auto &w = niCreditWires_[ev.wire & ~kNiWire];
-            nis_[static_cast<std::size_t>(w.ni)]->creditArrived(w.buf,
-                                                                ev.c.vc);
+            NetworkInterface &ni = *nis_[static_cast<std::size_t>(w.ni)];
+            ni.creditArrived(w.buf, ev.c.vc);
+            if (ni.parked())
+                markNiActive(w.ni);
         } else {
             const auto &w = routerCreditWires_[ev.wire];
-            routers_[static_cast<std::size_t>(w.router)].creditArrived(
-                w.port, ev.c.vc);
+            Router &r = routers_[static_cast<std::size_t>(w.router)];
+            if (r.creditArrived(w.port, ev.c.vc) && r.parked()) {
+                r.unpark(tick_);
+                --parkedRouters_;
+                markRouterActive(w.router);
+            }
         }
     }
     slot.credits.clear();
@@ -505,7 +593,7 @@ Network::resetStats()
     for (auto &r : routers_)
         r.resetStats(tick_);
     for (auto &ni : nis_)
-        ni->resetStats();
+        ni->resetStats(tick_);
     if (plane_)
         plane_->resetStats();
 }
@@ -666,7 +754,7 @@ Network::exportStats(StatGroup &sg, const std::string &prefix) const
                   static_cast<double>(buf.packetsInjected));
             setAt(bk, "flits", static_cast<double>(buf.flitsInjected));
             setAt(bk, "stall",
-                  static_cast<double>(buf.creditStallTicks));
+                  static_cast<double>(ni.creditStallTicks(b, tick_)));
         }
     }
 }
@@ -690,21 +778,40 @@ Network::drained() const
     return true;
 }
 
-bool
-Network::activeSetsConsistent() const
+void
+Network::settleParkedStats()
 {
+    for (auto &ni : nis_)
+        if (ni->parked())
+            ni->settleParked(tick_);
+}
+
+bool
+Network::activeSetsConsistent()
+{
+    // Off the set => the next visit would be a no-op: drained, or
+    // parked with the park condition still holding. A woken NI keeps
+    // its park until the visit settles it, so it may be on the set.
+    int parked = 0;
     for (std::size_t i = 0; i < routers_.size(); ++i) {
-        bool active = (activeRouters_[i >> 6] >>
-                       (i & 63)) & 1;
-        if (routers_[i].hasBufferedFlits() && !active)
+        const Router &r = routers_[i];
+        bool active = (activeRouters_[i >> 6] >> (i & 63)) & 1;
+        parked += r.parked();
+        if (active ? r.parked()
+                   : r.hasBufferedFlits() && !(r.parked() && r.canPark()))
             return false;
     }
+    if (parked != parkedRouters_)
+        return false;
+    parked = 0;
     for (std::size_t i = 0; i < nis_.size(); ++i) {
+        NetworkInterface &ni = *nis_[i];
         bool active = (activeNis_[i >> 6] >> (i & 63)) & 1;
-        if (!nis_[i]->idle() && !active)
+        parked += ni.parked();
+        if (!active && !ni.idle() && !(ni.parked() && ni.parkHolds()))
             return false;
     }
-    return true;
+    return parked == parkedNis_;
 }
 
 } // namespace eqx

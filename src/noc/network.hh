@@ -56,12 +56,17 @@ struct NetworkSpec
  *
  * The internal tick loop is activity-driven (DESIGN.md §10): routers
  * and NIs sit on per-network active sets and are only visited while
- * they hold work; channel arrivals are drained through a pending-wire
- * event wheel instead of scanning every wire. An idle mesh costs
- * O(active components), not O(routers + wires). Visits run in
- * ascending component index, so outcomes equal a walk over every
- * component; activeSetsConsistent() and Router::pipelineStateConsistent()
- * check the sets against that predicate.
+ * a visit can change something. A drained component leaves the set,
+ * and so does one that backpressure blocks (a router starved of
+ * credits, an NI that moved nothing): it parks until the flit, credit
+ * or inject() that can move it, and the counters its skipped visits
+ * would have bumped are settled exactly. Channel arrivals are drained
+ * through a pending-wire event wheel instead of scanning every wire.
+ * An idle mesh costs O(active components), not O(routers + wires).
+ * Visits run in ascending component index, so outcomes equal a walk
+ * over every component; activeSetsConsistent() and
+ * Router::pipelineStateConsistent() check the sets against that
+ * predicate.
  */
 class Network : private FaultPlaneHost
 {
@@ -80,8 +85,8 @@ class Network : private FaultPlaneHost
     /**
      * Earliest core cycle after @p core_now at which this network
      * does real work — the global time wheel query (DESIGN.md §14).
-     * core_now + 1 while any router or NI is on an active set (or when
-     * fault-armed, which ticks unconditionally);
+     * core_now + 1 while any router or NI is on an active set or
+     * parked (or when fault-armed, which ticks unconditionally);
      * otherwise the core cycle of the earliest in-flight channel
      * arrival in the pending wheel; kNeverCycle when fully drained.
      */
@@ -100,6 +105,12 @@ class Network : private FaultPlaneHost
     bool inject(NodeId node, const PacketPtr &pkt);
     bool canInject(NodeId node) const;
     void setSink(NodeId node, PacketSink *sink);
+    /** Fire @p w whenever a core-queue slot of @p node's NI frees. */
+    void
+    watchCoreSlots(NodeId node, const WakeBit &w)
+    {
+        nis_[static_cast<std::size_t>(node)]->watchCoreSlots(w);
+    }
 
     /** Statistics. */
     const NetworkActivity &activity() const { return activity_; }
@@ -113,6 +124,14 @@ class Network : private FaultPlaneHost
      * transients.
      */
     void resetStats();
+
+    /**
+     * Fold the credit stalls parked NIs have skipped so far into their
+     * buffers' creditStallTicks, so plain field reads are exact. The
+     * network's own exports (and every Router reader) count them
+     * without this.
+     */
+    void settleParkedStats();
 
     /**
      * Flatten the per-router / per-port / per-NI observability
@@ -159,14 +178,19 @@ class Network : private FaultPlaneHost
     int maskedInjBuffers() const;
 
     /**
-     * Activity-scheduler invariant check (tests): every router holding
-     * buffered flits and every non-idle NI must be on its active set.
+     * Activity-scheduler invariant check (tests): a router or NI off
+     * its active set must be drained, or parked with its next visit
+     * still a no-op; the parked counts must match. Probes each parked
+     * NI's dispatch policy (side-effect free when it fails).
      */
-    bool activeSetsConsistent() const;
+    bool activeSetsConsistent();
 
   private:
     void internalTick();
     void deliver();
+    /** Fail with a diagnosis when parked routers can never be woken:
+     *  nothing is active and nothing is in flight. */
+    void checkParkedProgress() const;
 
     // FaultPlaneHost: out-of-band recovery events land on the NIs. No
     // activation is needed — an NI with protocol state in flight is
@@ -253,6 +277,10 @@ class Network : private FaultPlaneHost
      */
     std::vector<std::uint64_t> activeRouters_;
     std::vector<std::uint64_t> activeNis_;
+    /** Components off their set but holding work (Router::parked(),
+     *  NetworkInterface::parked()). */
+    int parkedRouters_ = 0;
+    int parkedNis_ = 0;
 
     /**
      * Pending-wire event wheel: slot (tick & wheelMask_) holds the

@@ -1,6 +1,7 @@
 #include "noc/network_interface.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -20,6 +21,8 @@ int
 NetworkInterface::addInjBuffer(int capacity_packets, Channel<Flit> *out,
                                NodeId target_router, bool interposer)
 {
+    eqx_assert(bufs_.size() < 32,
+               "the parked-stall mask covers at most 32 injection buffers");
     InjBuffer b;
     b.capacityPackets = capacity_packets;
     b.out = out;
@@ -126,14 +129,15 @@ NetworkInterface::allowedVcs(PacketType t, int &lo, int &hi) const
     }
 }
 
-void
+bool
 NetworkInterface::tickEjection(Cycle now_ticks)
 {
     int v = params_->vcsPerPort;
+    bool moved = false;
     for (auto &p : ejPorts_) {
         if (static_cast<int>(delivered_.size()) >=
             params_->niEjectQueuePackets)
-            return; // assembled-packet queue full: apply backpressure
+            return moved; // assembled-packet queue full: backpressure
         ejReqs_.clear();
         for (int i = 0; i < v; ++i)
             if (!p.vcs[static_cast<std::size_t>(i)].empty())
@@ -145,6 +149,7 @@ NetworkInterface::tickEjection(Cycle now_ticks)
         // vector<bool> allocation.
         int vc = p.arb.grantList(ejReqs_);
         Flit f = p.vcs[static_cast<std::size_t>(vc)].pop();
+        moved = true;
         if (p.creditUp)
             p.creditUp->send(Credit{0, vc}, now_ticks);
         if (f.isTail) {
@@ -174,19 +179,23 @@ NetworkInterface::tickEjection(Cycle now_ticks)
             delivered_.push_back(f.pkt);
         }
     }
+    return moved;
 }
 
-void
-NetworkInterface::serializeBuffer(InjBuffer &b, Cycle now_ticks)
+bool
+NetworkInterface::serializeBuffer(int buf, Cycle now_ticks)
 {
+    InjBuffer &b = bufs_[static_cast<std::size_t>(buf)];
+    bool started = false;
     if (!b.current) {
         if (b.queue.empty())
-            return;
+            return false;
         b.current = b.queue.front();
         b.queue.pop_front();
         b.numFlits = params_->flitsForBits(b.current->bits);
         b.flitsSent = 0;
         b.vc = -1;
+        started = true;
     }
     if (b.vc < 0) {
         // Atomic VC acquisition: the target input VC must be empty.
@@ -201,12 +210,14 @@ NetworkInterface::serializeBuffer(InjBuffer &b, Cycle now_ticks)
         }
         if (b.vc < 0) {
             ++b.creditStallTicks;
-            return; // all candidate VCs occupied: retry next tick
+            stalledBufs_ |= std::uint32_t{1} << buf;
+            return started; // all candidate VCs occupied: retry
         }
     }
     if (b.credits[static_cast<std::size_t>(b.vc)] <= 0) {
         ++b.creditStallTicks;
-        return;
+        stalledBufs_ |= std::uint32_t{1} << buf;
+        return started;
     }
 
     Flit f;
@@ -241,12 +252,16 @@ NetworkInterface::serializeBuffer(InjBuffer &b, Cycle now_ticks)
         b.current.reset();
         b.vc = -1;
     }
+    return true;
 }
 
-void
+bool
 NetworkInterface::tickInjection(Cycle now_ticks)
 {
+    bool moved = false;
     // NI core logic dispatches at most one packet per tick to a buffer.
+    // A failing selectBuffer() leaves every variant's state untouched,
+    // so a parked NI may skip the retries.
     if (!coreQueue_.empty()) {
         int idx = selectBuffer(coreQueue_.front());
         if (idx >= 0) {
@@ -256,21 +271,27 @@ NetworkInterface::tickInjection(Cycle now_ticks)
                        "selectBuffer returned a full buffer");
             b.queue.push_back(coreQueue_.front());
             coreQueue_.pop_front();
+            for (const WakeBit &w : slotWakers_)
+                w.fire();
+            moved = true;
         }
     }
-    for (auto &b : bufs_)
-        serializeBuffer(b, now_ticks);
+    stalledBufs_ = 0;
+    for (int i = 0; i < numInjBuffers(); ++i)
+        moved |= serializeBuffer(i, now_ticks);
+    return moved;
 }
 
-void
+bool
 NetworkInterface::tick(Cycle now_ticks, Cycle core_now)
 {
-    tickEjection(now_ticks);
+    bool moved = tickEjection(now_ticks);
     while (!delivered_.empty() && sink_ &&
            sink_->canAccept(delivered_.front())) {
         PacketPtr pkt = delivered_.front();
         delivered_.pop_front();
         sink_->accept(pkt, core_now);
+        moved = true;
     }
     if (!sink_) {
         // Pure traffic-sink mode: consume unconditionally.
@@ -278,7 +299,62 @@ NetworkInterface::tick(Cycle now_ticks, Cycle core_now)
     }
     if (plane_ && !retx_.empty())
         tickResilience(now_ticks);
-    tickInjection(now_ticks);
+    return tickInjection(now_ticks) || moved;
+}
+
+void
+NetworkInterface::settleParked(Cycle through)
+{
+    for (std::uint32_t m = stalledBufs_; m != 0; m &= m - 1)
+        bufs_[static_cast<std::size_t>(std::countr_zero(m))]
+            .creditStallTicks += through - parkedAt_;
+    parkedAt_ = through;
+}
+
+std::uint64_t
+NetworkInterface::creditStallTicks(int buf, Cycle now) const
+{
+    std::uint64_t n = bufs_[static_cast<std::size_t>(buf)].creditStallTicks;
+    if (parked() && ((stalledBufs_ >> buf) & 1) != 0)
+        n += now - parkedAt_;
+    return n;
+}
+
+bool
+NetworkInterface::parkHolds()
+{
+    if (plane_ || !delivered_.empty())
+        return false;
+    for (const auto &p : ejPorts_)
+        for (const auto &vc : p.vcs)
+            if (!vc.empty())
+                return false;
+    if (!coreQueue_.empty() && selectBuffer(coreQueue_.front()) >= 0)
+        return false;
+    for (int i = 0; i < numInjBuffers(); ++i) {
+        const InjBuffer &b = bufs_[static_cast<std::size_t>(i)];
+        if (!b.current) {
+            if (!b.queue.empty())
+                return false; // would start serializing
+            continue;
+        }
+        // Would it send? The same credit tests serializeBuffer() makes.
+        bool stalled;
+        if (b.vc < 0) {
+            int lo, hi;
+            allowedVcs(b.current->type, lo, hi);
+            stalled = true;
+            for (int vc = lo; vc <= hi; ++vc)
+                if (b.credits[static_cast<std::size_t>(vc)] ==
+                    params_->vcDepthFlits)
+                    stalled = false;
+        } else {
+            stalled = b.credits[static_cast<std::size_t>(b.vc)] <= 0;
+        }
+        if (!stalled || ((stalledBufs_ >> i) & 1) == 0)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -342,13 +418,15 @@ NetworkInterface::maskBuffer(int buf)
 }
 
 void
-NetworkInterface::resetStats()
+NetworkInterface::resetStats(Cycle now_ticks)
 {
     for (auto &b : bufs_) {
         b.packetsInjected = 0;
         b.flitsInjected = 0;
         b.creditStallTicks = 0;
     }
+    if (parked())
+        parkedAt_ = now_ticks; // only post-reset skipped ticks count
 }
 
 bool

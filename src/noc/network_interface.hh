@@ -163,11 +163,62 @@ class NetworkInterface
     /** Flit arriving from a router ejection port. */
     void acceptEjectedFlit(int ej_port, Flit f);
 
-    /** Run one network tick: ejection, sink delivery, injection. */
-    void tick(Cycle now_ticks, Cycle core_now);
+    /**
+     * Run one network tick: ejection, sink delivery, injection.
+     * @return true when it moved anything: popped an ejection VC,
+     * handed a packet to the sink, dispatched from the core queue,
+     * started serializing a queued packet or sent a flit.
+     */
+    bool tick(Cycle now_ticks, Cycle core_now);
 
     /** True when nothing is queued, mid-flight or awaiting delivery. */
     bool idle() const;
+
+    /**
+     * Park after a tick at @p now_ticks that moved nothing (DESIGN.md
+     * §10). The next tick would then repeat it exactly, until a credit,
+     * an inject() or an ejected flit changes the state. Never with a
+     * fault plane attached (its timers run every tick) or with packets
+     * awaiting the sink. @return true when the NI parked.
+     */
+    bool
+    tryPark(Cycle now_ticks)
+    {
+        if (plane_ || !delivered_.empty())
+            return false;
+        parkedAt_ = now_ticks;
+        return true;
+    }
+
+    bool parked() const { return parkedAt_ != kNeverCycle; }
+
+    /** Back on the active set for the tick at @p now_ticks: replay the
+     *  credit stalls of the ticks the park skipped. */
+    void
+    unpark(Cycle now_ticks)
+    {
+        settleParked(now_ticks - 1);
+        parkedAt_ = kNeverCycle;
+    }
+
+    /** Fold the stalls of the skipped ticks up to @p through into the
+     *  buffers' creditStallTicks, so a plain field read is exact. */
+    void settleParked(Cycle through);
+
+    /** injBuffer(@p buf).creditStallTicks plus the stalls a park has
+     *  skipped up to tick @p now. */
+    std::uint64_t creditStallTicks(int buf, Cycle now) const;
+
+    /**
+     * Parked-state check (tests): a parked NI must hold no ejection
+     * flit, and its next tick must dispatch, start and send nothing.
+     * Calls selectBuffer(), which has no side effect when it fails.
+     */
+    bool parkHolds();
+
+    /** Fire @p w whenever a core-queue slot frees: the endpoints an
+     *  inject() refusal parked wait for this. */
+    void watchCoreSlots(const WakeBit &w) { slotWakers_.push_back(w); }
 
     int numInjBuffers() const { return static_cast<int>(bufs_.size()); }
     const InjBuffer &injBuffer(int i) const
@@ -175,8 +226,9 @@ class NetworkInterface
         return bufs_[static_cast<std::size_t>(i)];
     }
 
-    /** Clear per-buffer load counters (warmup boundary). */
-    void resetStats();
+    /** Clear per-buffer load counters (warmup boundary at tick
+     *  @p now_ticks). */
+    void resetStats(Cycle now_ticks = 0);
 
   protected:
     /**
@@ -249,15 +301,24 @@ class NetworkInterface
         }
     };
 
-    void tickEjection(Cycle now_ticks);
-    void tickInjection(Cycle now_ticks);
-    void serializeBuffer(InjBuffer &b, Cycle now_ticks);
+    // Each returns true when it moved anything (see tick()).
+    bool tickEjection(Cycle now_ticks);
+    bool tickInjection(Cycle now_ticks);
+    bool serializeBuffer(int buf, Cycle now_ticks);
     /** Expire / retransmit overdue protocol records. */
     void tickResilience(Cycle now_ticks);
 
     /// Scratch list of occupied eject VCs, reused across ticks so the
     /// per-port arbitration allocates nothing on the hot path.
     std::vector<int> ejReqs_;
+
+    /** The tick that parked this NI, or kNeverCycle. */
+    Cycle parkedAt_ = kNeverCycle;
+    /** Buffers that credit-stalled in the last tick: a park replays
+     *  one stall tick each per skipped tick. */
+    std::uint32_t stalledBufs_ = 0;
+    /** Fired when a core-queue slot frees (watchCoreSlots()). */
+    std::vector<WakeBit> slotWakers_;
 
     // Protocol state (allocated lazily; empty unless plane_ is set).
     std::map<NodeId, std::uint32_t> nextSeq_; ///< per-destination

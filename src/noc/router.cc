@@ -9,10 +9,12 @@
 namespace eqx {
 
 Router::Router(NodeId id, const Topology *topo, const NocParams *params,
-               NetworkActivity *activity)
-    : id_(id), topo_(topo), params_(params), activity_(activity)
+               NetworkActivity *activity, const Cycle *clock)
+    : params_(params), activity_(activity), id_(id), topo_(topo),
+      clock_(clock)
 {
-    eqx_assert(topo_ && params_ && activity_, "router needs its context");
+    eqx_assert(topo_ && params_ && activity_ && clock_,
+               "router needs its context");
     coord_ = topo_->routerCoord(id_);
     wrap_ = topo_->wraps();
     concentrated_ = topo_->concentrated();
@@ -392,8 +394,6 @@ Router::chooseVcRequest(int flat, Cycle now, int &req_port,
 void
 Router::vcAllocStage(Cycle now)
 {
-    if (vaPending_ == 0)
-        return;
     int v = params_->vcsPerPort;
 
     // Input-first: each waiting input VC nominates one (port, vc), in
@@ -594,12 +594,16 @@ Router::switchAllocStage(Cycle now)
 double
 Router::occupancyMean(Cycle now) const
 {
-    // Ticks between the last explicit sample and `now` were skipped
-    // while idle: count them as zero-occupancy samples.
+    // Ticks between the last explicit sample and `now` were skipped:
+    // idle at zero occupancy, or parked at the buffered-flit count.
     std::uint64_t samples = occSamples_;
     if (now > occLastTick_)
         samples += now - occLastTick_;
-    return samples ? static_cast<double>(occSumFlitTicks_) /
+    std::uint64_t sum = occSumFlitTicks_;
+    if (parked())
+        sum += static_cast<std::uint64_t>(bufferedFlits_) *
+               (now - parkedAt_);
+    return samples ? static_cast<double>(sum) /
                          static_cast<double>(samples)
                    : 0.0;
 }
@@ -621,9 +625,11 @@ Router::resetStats(Cycle now)
         inFlitsAccepted_[i] = 0;
     for (int i = 0; i < numOutputPorts(); ++i)
         outFlitsSent_[i] = 0;
-    // Parked (or woken, not yet re-nominated) VA nominations re-base
-    // their deferred request accounting at the reset boundary: only
-    // post-reset ticks may count.
+    // A parked router, and parked (or woken, not yet re-nominated) VA
+    // nominations, re-base their deferred accounting at the reset
+    // boundary: only post-reset ticks may count.
+    if (parked())
+        parkedAt_ = now;
     std::uint64_t m = vaBlocked_ | vaWoken_;
     while (m != 0) {
         int f = std::countr_zero(m);

@@ -13,6 +13,7 @@
 #ifndef EQX_NOC_ROUTER_HH
 #define EQX_NOC_ROUTER_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -117,8 +118,10 @@ class Router
      *  router's ejection ports (MultiPort CBs carry a few). */
     static constexpr int kMaxRouteCand = 4;
 
+    /** @p clock is the owning network's internal tick counter: the
+     *  stat readers use it to count the ticks a parked router skipped. */
     Router(NodeId id, const Topology *topo, const NocParams *params,
-           NetworkActivity *activity);
+           NetworkActivity *activity, const Cycle *clock);
 
     NodeId id() const { return id_; }
     Coord coord() const { return coord_; }
@@ -144,8 +147,14 @@ class Router
     /** Deliver a flit arriving on an input port (from a channel). */
     void acceptFlit(int in_port, Flit f, Cycle now);
 
-    /** Deliver a credit for (out_port, vc). */
-    void
+    /**
+     * Deliver a credit for (out_port, vc). @return true when the credit
+     * can end a park (DESIGN.md §10): it is the first credit of a
+     * starved output VC, or it freed a VC that parked VA nominations
+     * wait on. Any other credit leaves a parked router's next visit a
+     * no-op.
+     */
+    bool
     creditArrived(int out_port, int vc)
     {
         int of = out_port * params_->vcsPerPort + vc;
@@ -155,6 +164,7 @@ class Router
             if (vaBlocked_ != 0)
                 wakeBlockedVa(out_port);
         }
+        return outCredits_[of] == 1 || vaPending_ != 0;
     }
 
     /**
@@ -166,9 +176,67 @@ class Router
     tickStages(Cycle now)
     {
         switchAllocStage(now);
-        vcAllocStage(now);
-        routeComputeStage(now);
+        if (vaPending_ != 0)
+            vcAllocStage(now);
+        if (rcPending_ != 0)
+            routeComputeStage(now);
     }
+
+    /**
+     * Leave the active set after the visit at internal tick @p now if
+     * the next visit would change nothing but counters (DESIGN.md §10):
+     * no VC waits for RC or VA (every nomination is parked on
+     * vaBlocked_), and every VC waiting for SA has an output VC at
+     * zero credits. Never under classVcs, whose VA windows move with
+     * time. @return true when the router parked.
+     */
+    bool
+    tryPark(Cycle now)
+    {
+        if (!canPark())
+            return false;
+        parkedAt_ = now;
+        return true;
+    }
+
+    /** The park condition of tryPark(), which must keep holding for as
+     *  long as the router stays parked (checked by the tests). */
+    bool
+    canPark() const
+    {
+        if ((rcPending_ | vaPending_) != 0 || params_->classVcs)
+            return false;
+        for (std::uint64_t m = saPending_; m != 0; m &= m - 1)
+            if (outCredits_[vc_[std::countr_zero(m)].outFlat] > 0)
+                return false;
+        return true;
+    }
+
+    bool parked() const { return parkedAt_ != kNeverCycle; }
+
+    /**
+     * Rejoin the active set at internal tick @p now, before the waking
+     * flit or credit lands: every tick the park skipped would have
+     * requested SA for each stalled VC and sampled the buffered flits,
+     * so those counts are settled here.
+     */
+    void
+    unpark(Cycle now)
+    {
+        std::uint64_t span = now - 1 - parkedAt_;
+        std::uint64_t k = static_cast<std::uint64_t>(
+            std::popcount(saPending_));
+        saRequests_ += k * span;
+        creditStallCycles_ += k * span;
+        occSumFlitTicks_ += static_cast<std::uint64_t>(bufferedFlits_) *
+                            span;
+        parkedAt_ = kNeverCycle;
+    }
+
+    /** Diagnostics: input VCs waiting for SA (each starved of credits
+     *  while the router is parked) and for a free output VC. */
+    std::uint64_t saWaitingVcs() const { return saPending_; }
+    std::uint64_t vaWaitingVcs() const { return vaBlocked_; }
 
     /** Mean cycles a flit spends resident in this router. */
     const RunningStat &residenceStat() const { return residence_; }
@@ -198,17 +266,23 @@ class Router
         return r;
     }
     std::uint64_t vaGrants() const { return vaGrants_; }
-    /** Switch-allocator per-VC requests seen / crossings granted. */
-    std::uint64_t saRequests() const { return saRequests_; }
+    /** Switch-allocator per-VC requests seen / crossings granted. A
+     *  parked router's skipped ticks count as they pass. */
+    std::uint64_t saRequests() const { return saRequests_ + parkedSaTicks(); }
     std::uint64_t saGrants() const { return saGrants_; }
     /** (VC, tick) occurrences of an Active VC starved of credits. */
-    std::uint64_t creditStallCycles() const { return creditStallCycles_; }
+    std::uint64_t
+    creditStallCycles() const
+    {
+        return creditStallCycles_ + parkedSaTicks();
+    }
 
     /**
      * Mean buffered input flits per internal tick over [stats reset,
      * @p now]. Kept as exact integers (flit-tick sum / tick count) so
-     * ticks the activity scheduler skipped — which by construction had
-     * zero occupancy — count exactly as zero-occupancy samples.
+     * ticks the activity scheduler skipped count exactly: an idle
+     * router's as zero-occupancy samples, a parked router's at its
+     * (unchanging) buffered-flit count.
      */
     double occupancyMean(Cycle now) const;
 
@@ -276,21 +350,16 @@ class Router
     bool chooseVcRequest(int flat, Cycle now, int &req_port,
                          int &req_vc) const;
 
-    NodeId id_;
-    const Topology *topo_;
-    const NocParams *params_;
-    NetworkActivity *activity_;
-    Coord coord_;
-
-    /** Port wiring facts, by port index. */
-    struct PortWiring
+    /** SA requests (= credit stalls) of the ticks a parked router has
+     *  skipped so far: each stalled VC counts one per tick. */
+    std::uint64_t
+    parkedSaTicks() const
     {
-        PortKind kind;
-        Dir dir;
-    };
-    std::vector<PortWiring> inputs_;
-    std::vector<PortWiring> outputs_;
-    std::vector<int> ejPorts_;
+        if (!parked())
+            return 0;
+        return static_cast<std::uint64_t>(std::popcount(saPending_)) *
+               (*clock_ - parkedAt_);
+    }
 
     // ---- Packed pipeline state (DESIGN.md §14) ----
     // Everything the allocator stages touch per tick sits in flat,
@@ -298,8 +367,14 @@ class Router
     // (port * vcsPerPort + vc) on the input side and flat output-VC id
     // on the output side — plus one contiguous per-router flit store,
     // instead of InputPort -> VcBuffer -> heap-ring pointer chases.
-    // Members are ordered hottest-first so one tick's working set per
-    // router spans a handful of consecutive cache lines.
+    // Members are ordered hottest-first: the stage masks, park state
+    // and counters every visit (and every delivery) touches lead the
+    // object, so the line deliver() prefetches is the one it needs;
+    // the VC lanes follow, and the wiring only route compute, VA
+    // parking or construction read comes last.
+
+    const NocParams *params_;
+    NetworkActivity *activity_;
 
     /**
      * Pending-work bitmasks over flat input-VC index (port * vcsPerPort
@@ -329,9 +404,6 @@ class Router
      */
     std::uint64_t vaBlocked_ = 0;
     std::uint64_t vaWoken_ = 0;
-    /** Parked input VCs per candidate output port; bits outside
-     *  vaBlocked_ are stale and masked off at wake time. */
-    std::uint64_t vaWaiters_[kMaxOutPorts] = {};
     /**
      * Bit per flat output VC that is allocatable right now (!busy &&
      * credits == vcDepthFlits). Under the atomic-VC rule every free VC
@@ -344,6 +416,43 @@ class Router
     std::uint64_t freeOutVcs_ = 0;
     /** Total flits currently buffered across all input VCs. */
     int bufferedFlits_ = 0;
+    /** Tick of the visit that parked this router, or kNeverCycle
+     *  while it is on the active set (or idle). */
+    Cycle parkedAt_ = kNeverCycle;
+
+    std::uint64_t flitsForwarded_ = 0;
+    std::uint64_t vaRequests_ = 0;
+    std::uint64_t vaGrants_ = 0;
+    std::uint64_t saRequests_ = 0;
+    std::uint64_t saGrants_ = 0;
+    std::uint64_t creditStallCycles_ = 0;
+    /** Exact occupancy accounting: flit-ticks, ticks sampled, and the
+     *  last tick accounted (gaps were idle at occupancy 0, or parked
+     *  and settled by unpark()). */
+    std::uint64_t occSumFlitTicks_ = 0;
+    std::uint64_t occSamples_ = 0;
+    Cycle occLastTick_ = 0;
+
+    /** Rotation cursors for the separable allocators: input-side SA
+     *  (per input port, over its VCs), output-side SA (per output
+     *  port, over input ports), VA (per flat output VC, over flat
+     *  input VCs). Replaces a RoundRobinArbiter object per port. */
+    std::uint8_t inSaLast_[kMaxInPorts] = {};
+    std::uint8_t outSaLast_[kMaxOutPorts] = {};
+    std::uint8_t vaLast_[kMaxOutVcs] = {};
+
+    /** Downstream credits / busy per flat output VC (credits bounded
+     *  by the downstream depth, so a byte each keeps both arrays in
+     *  one cache line apiece). */
+    std::int8_t outCredits_[kMaxOutVcs] = {};
+    std::uint8_t outBusy_[kMaxOutVcs] = {};
+
+    /** Flit storage for every input VC: ring @p flat occupies slots
+     *  [flat * vcDepthFlits, (flat+1) * vcDepthFlits). One allocation
+     *  per router — the whole buffered state is one contiguous run. */
+    std::vector<Flit> flitStore_;
+
+    RunningStat residence_;
 
     /**
      * All per-input-VC pipeline state, packed to one 16-byte record so
@@ -368,18 +477,13 @@ class Router
     static_assert(sizeof(VcLane) == 16, "VcLane must stay one half-line");
     VcLane vc_[kMaxInVcs] = {};
 
-    /** Downstream credits / busy per flat output VC (credits bounded
-     *  by the downstream depth, so a byte each keeps both arrays in
-     *  one cache line apiece). */
-    std::int8_t outCredits_[kMaxOutVcs] = {};
-    std::uint8_t outBusy_[kMaxOutVcs] = {};
-    /** Rotation cursors for the separable allocators: input-side SA
-     *  (per input port, over its VCs), output-side SA (per output
-     *  port, over input ports), VA (per flat output VC, over flat
-     *  input VCs). Replaces a RoundRobinArbiter object per port. */
-    std::uint8_t inSaLast_[kMaxInPorts] = {};
-    std::uint8_t outSaLast_[kMaxOutPorts] = {};
-    std::uint8_t vaLast_[kMaxOutVcs] = {};
+    /** Per-output-port downstream flit channel + per-input-port
+     *  upstream credit channel (SA send / credit-return paths). */
+    Channel<Flit> *outChan_[kMaxOutPorts] = {};
+    Channel<Credit> *creditUp_[kMaxInPorts] = {};
+    /** Per-port flit counters (read through the port views). */
+    std::uint64_t inFlitsAccepted_[kMaxInPorts] = {};
+    std::uint64_t outFlitsSent_[kMaxOutPorts] = {};
 
     /** Geo direction -> output port (-1 when absent). */
     std::int8_t dirPort_[4] = {-1, -1, -1, -1};
@@ -393,43 +497,35 @@ class Router
     /** Topology facts cached off the hot path's pointer chase. */
     bool wrap_ = false;         ///< torus: wrap-aware RC + dateline VCs
     bool concentrated_ = false; ///< CMesh: eject by destination slot
+    Coord coord_;
+
+    // ---- Cold: identity, wiring, VA parking registry ----
+    NodeId id_;
+    const Topology *topo_;
+    const Cycle *clock_;
+
+    /** Port wiring facts, by port index. */
+    struct PortWiring
+    {
+        PortKind kind;
+        Dir dir;
+    };
+    std::vector<PortWiring> inputs_;
+    std::vector<PortWiring> outputs_;
+    std::vector<int> ejPorts_;
+
+    /** Parked input VCs per candidate output port; bits outside
+     *  vaBlocked_ are stale and masked off at wake time. */
+    std::uint64_t vaWaiters_[kMaxOutPorts] = {};
+    /** Tick each vaBlocked_ bit parked at (deferred vaRequests_). */
+    Cycle vaBlockTick_[kMaxInVcs] = {};
     /** Concentrated ejection: the head packet's destination tile slot
      *  per input VC (indexes ejPorts_), written at route compute. */
     std::int8_t destSub_[kMaxInVcs] = {};
 
-    std::uint64_t flitsForwarded_ = 0;
-    std::uint64_t vaRequests_ = 0;
-    std::uint64_t vaGrants_ = 0;
-    std::uint64_t saRequests_ = 0;
-    std::uint64_t saGrants_ = 0;
-    std::uint64_t creditStallCycles_ = 0;
-    /** Exact occupancy accounting: flit-ticks, ticks sampled, and the
-     *  last tick accounted (gaps were provably-idle, occupancy 0). */
-    std::uint64_t occSumFlitTicks_ = 0;
-    std::uint64_t occSamples_ = 0;
-    Cycle occLastTick_ = 0;
-
-    /** Per-output-port downstream flit channel + per-input-port
-     *  upstream credit channel (SA send / credit-return paths). */
-    Channel<Flit> *outChan_[kMaxOutPorts] = {};
-    Channel<Credit> *creditUp_[kMaxInPorts] = {};
-    /** Per-port flit counters (read through the port views). */
-    std::uint64_t inFlitsAccepted_[kMaxInPorts] = {};
-    std::uint64_t outFlitsSent_[kMaxOutPorts] = {};
-
-    /** Flit storage for every input VC: ring @p flat occupies slots
-     *  [flat * vcDepthFlits, (flat+1) * vcDepthFlits). One allocation
-     *  per router — the whole buffered state is one contiguous run. */
-    std::vector<Flit> flitStore_;
-
-    /** Tick each vaBlocked_ bit parked at (deferred vaRequests_). */
-    Cycle vaBlockTick_[kMaxInVcs] = {};
-
     /** Last tick a flit of each class (0=req, 1=reply) was seen. */
     Cycle lastSeenClass_[3] = {0, 0, 0};
     bool seenClass_[3] = {false, false, false};
-
-    RunningStat residence_;
 };
 
 } // namespace eqx

@@ -66,6 +66,13 @@ class OverlayInjector : public PacketInjector
         return mesh_->inject(node_, pkt);
     }
 
+    void
+    watchSlots(const WakeBit &w) override
+    {
+        overlay_->watchCoreSlots(entry_, w);
+        mesh_->watchCoreSlots(node_, w);
+    }
+
   private:
     /** Distant enough, and leaving the entry's concentration group. */
     bool

@@ -30,6 +30,12 @@ class DirectInjector : public PacketInjector
         return net_->inject(node_, pkt);
     }
 
+    void
+    watchSlots(const WakeBit &w) override
+    {
+        net_->watchCoreSlots(node_, w);
+    }
+
   private:
     Network *net_;
     NodeId node_;
@@ -53,6 +59,13 @@ class SubnetInjector : public PacketInjector
     tryInject(const PacketPtr &pkt) override
     {
         return subnetOf(pkt->dst)->inject(node_, pkt);
+    }
+
+    void
+    watchSlots(const WakeBit &w) override
+    {
+        for (Network *net : subnets_)
+            net->watchCoreSlots(node_, w);
     }
 
   private:

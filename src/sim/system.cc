@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "runner/stream_seed.hh"
@@ -151,6 +152,17 @@ System::buildEndpoints(const WorkloadProfile &profile)
     }
 
     model_->wireSinks(build, nets_, tileSinks_, overlaySinks_);
+
+    // PE active set (DESIGN.md §10): every PE starts on it; a PE whose
+    // tick changed nothing parks until a reply or a freed NI slot.
+    // Sized once, so the wake bits handed out stay valid.
+    peActive_.assign((pes_.size() + 63) / 64, 0);
+    peParkedAt_.assign(pes_.size(), 0);
+    for (std::size_t i = 0; i < pes_.size(); ++i) {
+        peActive_[i >> 6] |= std::uint64_t{1} << (i & 63);
+        pes_[i]->wire(WakeBit{&peActive_[i >> 6],
+                              std::uint64_t{1} << (i & 63)});
+    }
 }
 
 void
@@ -166,8 +178,27 @@ System::step()
         net->coreTick(cycle_);
     for (auto &cb : cbs_)
         cb->tick(cycle_);
-    for (auto &pe : pes_)
-        pe->tick(cycle_);
+    // PEs in ascending order, parked ones skipped. Every wake (a reply,
+    // a freed NI slot) lands during the network ticks above, so no bit
+    // changes under this walk. A woken PE first repeats its idle tick
+    // once per step it missed.
+    std::uint64_t steps = stepsTaken();
+    for (std::size_t w = 0; w < peActive_.size(); ++w) {
+        for (std::uint64_t m = peActive_[w]; m != 0; m &= m - 1) {
+            std::size_t i = (w << 6) + static_cast<std::size_t>(
+                                           std::countr_zero(m));
+            ProcessingElement &pe = *pes_[i];
+            if (peParkedAt_[i] != 0) {
+                pe.replayIdle(steps - 1 - peParkedAt_[i]);
+                peParkedAt_[i] = 0;
+            }
+            pe.tick(cycle_);
+            if (pe.idleLastTick()) {
+                peActive_[w] &= ~(std::uint64_t{1} << (i & 63));
+                peParkedAt_[i] = steps;
+            }
+        }
+    }
     for (auto &s : storms_)
         s->tick(cycle_);
     // Warmup/measurement boundary: discard the cold-start transient.
@@ -384,6 +415,20 @@ System::collect(RunResult &out) const
     }
 }
 
+void
+System::settleParkedStats()
+{
+    std::uint64_t steps = stepsTaken();
+    for (std::size_t i = 0; i < pes_.size(); ++i) {
+        if (peParkedAt_[i] == 0)
+            continue;
+        pes_[i]->replayIdle(steps - peParkedAt_[i]);
+        peParkedAt_[i] = steps;
+    }
+    for (auto &net : nets_)
+        net->settleParkedStats();
+}
+
 RunResult
 System::run()
 {
@@ -391,6 +436,7 @@ System::run()
         step();
         maybeSkip();
     }
+    settleParkedStats();
     RunResult out;
     out.completed = finished();
     collect(out);

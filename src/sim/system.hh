@@ -120,7 +120,11 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Execute the workload to completion (or maxCycles). */
+    /**
+     * Execute the workload to completion (or maxCycles). Settles the
+     * stall counters of parked PEs and NIs first, so every counter read
+     * after run() is exact.
+     */
     RunResult run();
 
     /** Advance one core cycle (exposed for tests). */
@@ -174,6 +178,9 @@ class System
     void buildNetworks();
     void buildEndpoints(const WorkloadProfile &profile);
     void collect(RunResult &out) const;
+    /** Replay the skipped ticks of parked PEs and NIs into their
+     *  counters (DESIGN.md §10). */
+    void settleParkedStats();
 
     SystemConfig cfg_;
     const SchemeModel *model_; ///< registry-owned, resolved once
@@ -207,6 +214,15 @@ class System
 
     Cycle cycle_ = 0;
     bool cancelled_ = false;
+
+    /** PE active set, one bit per pes_ index (DESIGN.md §10). */
+    std::vector<std::uint64_t> peActive_;
+    /** stepsTaken() at the tick that parked each PE; 0 while active.
+     *  Spans count stepped cycles only, as a PE ticked every stepped
+     *  cycle counts its stalls. */
+    std::vector<std::uint64_t> peParkedAt_;
+    /** Cycles step() has run (the rest were skipped by maybeSkip()). */
+    std::uint64_t stepsTaken() const { return cycle_ - cyclesSkipped_; }
 
     Cycle cyclesSkipped_ = 0;
 };

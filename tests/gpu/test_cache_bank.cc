@@ -25,6 +25,8 @@ class CapturingInjector : public PacketInjector
         return true;
     }
 
+    void watchSlots(const WakeBit &) override {} // ticked every cycle
+
     bool accepting = true;
     std::vector<PacketPtr> sent;
 };

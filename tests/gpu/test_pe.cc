@@ -28,6 +28,8 @@ class CapturingInjector : public PacketInjector
         return true;
     }
 
+    void watchSlots(const WakeBit &) override {} // ticked every cycle
+
     bool accepting = true;
     int attempts = 0; ///< tryInject calls, accepted or not
     std::vector<PacketPtr> sent;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,7 @@ expectPipelineConsistent(NetworkSpec spec, double rate, int cycles)
                            makePacket(PacketType::ReadReply, s, d, 640));
         }
         net.coreTick(++clock);
+        ASSERT_TRUE(net.activeSetsConsistent()) << "cycle " << c;
         for (NodeId r = 0; r < n; ++r)
             ASSERT_TRUE(net.router(r).pipelineStateConsistent())
                 << "cycle " << c << " router " << r;
@@ -248,6 +250,98 @@ TEST(Activity, ResetStatsMidRunKeepsModesIdentical)
     EXPECT_EQ(golden::ofStats(sg, clock),
               (golden::Golden{0xbf2443226e9d2cf2ULL, 600, 18511, 732,
                               30640}));
+}
+
+/**
+ * Many-to-few traffic: every node sends to one of four hot nodes (the
+ * CB side of the paper's pattern), and the hot nodes send back at a
+ * high rate. The links into the hot nodes run out of credits, so
+ * routers and NIs park (DESIGN.md §10); node 27 is an EquiNox CB whose
+ * five injection buffers stall one by one.
+ */
+NetworkSpec
+hotspotSpec()
+{
+    NetworkSpec spec = meshSpec(8, 8);
+    spec.eirGroups[{27}] = {11, 25, 29, 43};
+    return spec;
+}
+
+void
+hotspotTraffic(Network &net, Rng &rng, Cycle &clock, int cycles)
+{
+    static const NodeId kHot[4] = {18, 21, 27, 45};
+    int n = net.params().numNodes();
+    for (int c = 0; c < cycles; ++c) {
+        for (NodeId s = 0; s < n; ++s) {
+            bool hot = s == 18 || s == 21 || s == 27 || s == 45;
+            if (!rng.chance(hot ? 0.6 : 0.1))
+                continue;
+            NodeId d = hot ? static_cast<NodeId>(rng.nextBounded(n))
+                           : kHot[rng.nextBounded(4)];
+            if (d != s && net.canInject(s))
+                net.inject(s,
+                           makePacket(PacketType::ReadReply, s, d, 640));
+        }
+        net.coreTick(++clock);
+    }
+}
+
+TEST(Activity, ParkedComponentsStayNoOpsUnderHotspotTraffic)
+{
+    // Every cycle: a router or NI off its active set is drained, or
+    // parked with its next visit still a no-op (activeSetsConsistent),
+    // and every router's pipeline state is consistent. Parking must
+    // actually engage, and the network must drain through the wakes.
+    Network net(hotspotSpec());
+    std::vector<CountingSink> sinks(64);
+    for (NodeId i = 0; i < 64; ++i)
+        net.setSink(i, &sinks[static_cast<std::size_t>(i)]);
+    Rng rng(5);
+    Cycle clock = 0;
+    int most_routers = 0, most_nis = 0;
+    for (int c = 0; c < 1500; ++c) {
+        hotspotTraffic(net, rng, clock, 1);
+        ASSERT_TRUE(net.activeSetsConsistent()) << "cycle " << clock;
+        int routers = 0, nis = 0;
+        for (NodeId r = 0; r < net.numRouters(); ++r) {
+            ASSERT_TRUE(net.router(r).pipelineStateConsistent())
+                << "cycle " << clock << " router " << r;
+            routers += net.router(r).parked();
+            nis += net.ni(r).parked();
+        }
+        most_routers = std::max(most_routers, routers);
+        most_nis = std::max(most_nis, nis);
+    }
+    EXPECT_GT(most_routers, 8);
+    EXPECT_GT(most_nis, 8);
+    for (int c = 0; c < 6000 && !net.drained(); ++c) {
+        net.coreTick(++clock);
+        ASSERT_TRUE(net.activeSetsConsistent()) << "cycle " << clock;
+    }
+    EXPECT_TRUE(net.drained());
+}
+
+TEST(Activity, CongestedRunCutByMaxCyclesMatchesGolden)
+{
+    // Cut mid-congestion, as a run that hits maxCycles is: parked
+    // routers and NIs still owe the stall counts and occupancy of the
+    // ticks they skipped, and the export must include them. Golden
+    // captured at commit 78ee819, before routers and NIs parked.
+    Network net(hotspotSpec());
+    CountingSink sink;
+    for (NodeId i = 0; i < 64; ++i)
+        net.setSink(i, &sink);
+    Rng rng(5);
+    Cycle clock = 0;
+    hotspotTraffic(net, rng, clock, 700);
+    net.resetStats();
+    hotspotTraffic(net, rng, clock, 800);
+    StatGroup sg;
+    net.exportStats(sg, "net");
+    EXPECT_EQ(golden::ofStats(sg, clock),
+              (golden::Golden{0x2159c9f521064996ULL, 1500, 17521, 762,
+                              276758}));
 }
 
 TEST(PacketPool, RefcountSemantics)

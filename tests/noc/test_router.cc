@@ -24,7 +24,7 @@ class RouterHarness : public ::testing::Test
     {
         topo = makeTopology(3, 3);
         router = std::make_unique<Router>(4 /*centre (1,1)*/, topo.get(),
-                                          &params, &activity);
+                                          &params, &activity, &now);
         inCredit = std::make_unique<Channel<Credit>>(
             wheel.channel<Credit>(1, kInCredit));
         outFlits = std::make_unique<Channel<Flit>>(
