@@ -7,6 +7,7 @@
 #ifndef EQX_COMMON_TYPES_HH
 #define EQX_COMMON_TYPES_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -29,6 +30,11 @@ constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
  * DESIGN.md §10. A component that left its owner's active set is put
  * back by firing this from the event that can unblock it. A default
  * WakeBit is unwired and never fires.
+ *
+ * The OR is a relaxed atomic: System ticks its request and reply
+ * networks on two threads, and both wake PEs in the same words
+ * (DESIGN.md §10). OR commutes, and no one reads the words until the
+ * two threads join, so the result is the serial one.
  */
 struct WakeBit
 {
@@ -39,7 +45,8 @@ struct WakeBit
     fire() const
     {
         if (word)
-            *word |= mask;
+            std::atomic_ref<std::uint64_t>(*word).fetch_or(
+                mask, std::memory_order_relaxed);
     }
 };
 

@@ -105,6 +105,15 @@ class Network : private FaultPlaneHost
     bool inject(NodeId node, const PacketPtr &pkt);
     bool canInject(NodeId node) const;
     void setSink(NodeId node, PacketSink *sink);
+    /** The sink wired at @p node, or nullptr. Tick-time calls into
+     *  sinks are this network's only reach beyond itself (besides
+     *  core-slot wakes), so System reads the wiring to decide which
+     *  networks may tick on separate threads (DESIGN.md §8). */
+    PacketSink *
+    sink(NodeId node) const
+    {
+        return nis_[static_cast<std::size_t>(node)]->sink();
+    }
     /** Fire @p w whenever a core-queue slot of @p node's NI frees. */
     void
     watchCoreSlots(NodeId node, const WakeBit &w)

@@ -145,6 +145,7 @@ class NetworkInterface
     bool canInject() const;
 
     void setSink(PacketSink *sink) { sink_ = sink; }
+    PacketSink *sink() const { return sink_; }
 
     /** Credit returned by the router for injection buffer @p buf. */
     void creditArrived(int buf, int vc);

@@ -27,6 +27,19 @@ jobStatusName(JobStatus s)
     return "?";
 }
 
+namespace {
+
+/** Set on each worker thread for the life of its batch. */
+thread_local int tBatchWorkers = 0;
+
+} // namespace
+
+int
+JobPool::currentWorkers()
+{
+    return tBatchWorkers;
+}
+
 int
 resolveWorkerCount(int requested)
 {
@@ -215,6 +228,7 @@ JobPool::run(std::size_t count, const JobFn &fn)
         pool.reserve(static_cast<std::size_t>(workers));
         for (int w = 0; w < workers; ++w)
             pool.emplace_back([&, w] {
+                tBatchWorkers = workers;
                 workerLoop(w, count, fn, reports, slots);
             });
     } // jthread dtors join every worker

@@ -131,6 +131,13 @@ class JobPool
 
     const JobPoolConfig &config() const { return cfg_; }
 
+    /**
+     * Worker threads of the batch the calling thread works for, 0 on
+     * a thread that is no pool worker. System ticks its networks on
+     * one thread when cells already run side by side (DESIGN.md §8).
+     */
+    static int currentWorkers();
+
   private:
     struct WorkerSlot;
 

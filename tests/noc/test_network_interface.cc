@@ -308,8 +308,10 @@ TEST(NiInjection, PerBufferLoadCountersTrackInjection)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 0));
     Cycle t = 0;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     EXPECT_EQ(ni.injBuffer(0).packetsInjected, 1u);
     EXPECT_EQ(ni.injBuffer(0).flitsInjected, 5u);
 
@@ -335,8 +337,10 @@ TEST(NiInjection, CreditStallTicksCountStarvation)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640);
     ASSERT_TRUE(ni.inject(pkt, 0));
     Cycle t = 0;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     EXPECT_EQ(ni.injBuffer(0).flitsInjected, 2u);
     EXPECT_GE(ni.injBuffer(0).creditStallTicks, 6u);
 }
@@ -354,8 +358,10 @@ TEST(NiInjection, SerializesAndStampsPacket)
     auto pkt = makePacket(PacketType::ReadReply, 0, 5, 640); // 5 flits
     ASSERT_TRUE(ni.inject(pkt, 10));
     Cycle t = 10;
-    for (int i = 0; i < 10; ++i)
-        ni.tick(++t, t);
+    for (int i = 0; i < 10; ++i) {
+        ++t;
+        ni.tick(t, t);
+    }
     // 5 flits must have been sent, head first.
     auto flits = wheel.take<Flit>(0, t + 1);
     ASSERT_EQ(flits.size(), 5u);

@@ -148,6 +148,10 @@ smallMatrix()
     return ec;
 }
 
+// workers=1 runs the cells on a 1-worker pool, whose Systems tick
+// their request and reply networks on two threads when two CPUs are
+// allowed; workers=8 keeps one thread per cell (DESIGN.md §8). So this
+// also compares the overlapped step with the serial one.
 TEST(Experiment, ParallelMatrixBitIdenticalToSerial)
 {
     ExperimentConfig serial = smallMatrix();
