@@ -7,10 +7,13 @@
 #ifndef EQX_COMMON_TYPES_HH
 #define EQX_COMMON_TYPES_HH
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace eqx {
 
@@ -48,6 +51,57 @@ struct WakeBit
             std::atomic_ref<std::uint64_t>(*word).fetch_or(
                 mask, std::memory_order_relaxed);
     }
+};
+
+/**
+ * A set of component indices, one bit each: the active sets of
+ * DESIGN.md §10. Sized once, so the words never move and wake bits
+ * stay valid. set() and clear() are plain stores; only WakeBit::fire
+ * is atomic.
+ */
+class ActiveSet
+{
+  public:
+    explicit ActiveSet(std::size_t n = 0) : words_((n + 63) / 64) {}
+
+    void set(std::size_t i) { words_[i >> 6] |= bit(i); }
+    void clear(std::size_t i) { words_[i >> 6] &= ~bit(i); }
+    bool test(std::size_t i) const { return (words_[i >> 6] & bit(i)) != 0; }
+    bool
+    any() const
+    {
+        return std::any_of(words_.begin(), words_.end(),
+                           [](std::uint64_t w) { return w != 0; });
+    }
+    WakeBit wakeBit(std::size_t i) { return {&words_[i >> 6], bit(i)}; }
+
+    /**
+     * Visit the set indices in ascending order, re-reading each word
+     * live: an index set during the walk ahead of the cursor is
+     * visited in this walk, one set behind it waits for the next.
+     */
+    template <typename F>
+    void
+    forEach(F &&f)
+    {
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            std::uint64_t ahead = ~std::uint64_t{0};
+            while (std::uint64_t m = words_[w] & ahead) {
+                int b = std::countr_zero(m);
+                ahead = ~std::uint64_t{0} << b << 1;
+                f((w << 6) + static_cast<std::size_t>(b));
+            }
+        }
+    }
+
+  private:
+    static std::uint64_t
+    bit(std::size_t i)
+    {
+        return std::uint64_t{1} << (i & 63);
+    }
+
+    std::vector<std::uint64_t> words_;
 };
 
 /** Flat node (tile) identifier inside one mesh. */

@@ -200,8 +200,8 @@ Network::Network(const NetworkSpec &spec)
     }
 
     // ---- Activity-driven scheduling state (DESIGN.md §10) ----
-    activeRouters_.assign((static_cast<std::size_t>(nr) + 63) / 64, 0);
-    activeNis_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+    activeRouters_ = ActiveSet(static_cast<std::size_t>(nr));
+    activeNis_ = ActiveSet(static_cast<std::size_t>(n));
 }
 
 void
@@ -277,14 +277,9 @@ Network::nextDueCycle(Cycle core_now) const
     if (te + to == 0)
         return kNeverCycle; // clockless network never ticks
     // Parked components hold work a wake event will resume.
-    if (parkedRouters_ != 0 || parkedNis_ != 0)
+    if (parkedRouters_ != 0 || parkedNis_ != 0 || activeRouters_.any() ||
+        activeNis_.any())
         return core_now + 1;
-    for (std::uint64_t w : activeRouters_)
-        if (w != 0)
-            return core_now + 1;
-    for (std::uint64_t w : activeNis_)
-        if (w != 0)
-            return core_now + 1;
     // Idle sets: the only future work is in-flight channel arrivals
     // sitting in the pending wheel. Every buffered event is due
     // within one wheel revolution of the current tick.
@@ -323,35 +318,6 @@ Network::skipTo(Cycle core_target)
     coreCycle_ = core_target;
 }
 
-namespace {
-
-/**
- * Visit set bits of a word array in ascending index order, re-reading
- * each word live so bits set *during* the walk (e.g. an NI activated
- * by a synchronous sink injection) at positions not yet passed are
- * visited this tick, keeping the visit order a pure ascending-index
- * walk over every component that has work. Bits set at already-passed
- * positions stay set and run next tick.
- */
-template <typename F>
-inline void
-forEachSetBitLive(std::vector<std::uint64_t> &words, F &&f)
-{
-    for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t processed = 0;
-        for (;;) {
-            std::uint64_t pending = words[w] & ~processed;
-            if (!pending)
-                break;
-            int b = std::countr_zero(pending);
-            processed |= std::uint64_t{1} << b;
-            f((w << 6) + static_cast<std::size_t>(b));
-        }
-    }
-}
-
-} // namespace
-
 void
 Network::internalTick()
 {
@@ -369,7 +335,7 @@ Network::internalTick()
     // inline once its next visit is provably a no-op: drained (until
     // the next acceptFlit), or parked on credits (until deliver()
     // hands it a flit or a credit that can move it).
-    forEachSetBitLive(activeRouters_, [&](std::size_t i) {
+    activeRouters_.forEach([&](std::size_t i) {
         auto &r = routers_[i];
         r.tickStages(tick_);
         bool off = !r.hasBufferedFlits();
@@ -378,14 +344,14 @@ Network::internalTick()
             off = true;
         }
         if (off)
-            activeRouters_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+            activeRouters_.clear(i);
     });
     // NI pass with inline deregistration: an idle NI (nothing queued,
     // mid-serialization, delivered or awaiting reassembly) is a no-op
     // until inject()/acceptEjectedFlit() re-activates it, and an NI
     // whose tick moved nothing repeats that tick until a credit, an
     // inject() or an ejected flit wakes it.
-    forEachSetBitLive(activeNis_, [&](std::size_t i) {
+    activeNis_.forEach([&](std::size_t i) {
         auto &ni = *nis_[i];
         if (ni.parked()) {
             ni.unpark(tick_);
@@ -398,7 +364,7 @@ Network::internalTick()
             off = true;
         }
         if (off)
-            activeNis_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+            activeNis_.clear(i);
     });
     if (parkedRouters_ != 0)
         checkParkedProgress();
@@ -409,12 +375,8 @@ Network::checkParkedProgress() const
 {
     // Progress is still possible while any router or NI is active, any
     // flit or credit is on a wire, or the fault plane owes an event.
-    for (std::uint64_t w : activeRouters_)
-        if (w != 0)
-            return;
-    for (std::uint64_t w : activeNis_)
-        if (w != 0)
-            return;
+    if (activeRouters_.any() || activeNis_.any())
+        return;
     for (const auto &slot : pendingWheel_)
         if (!slot.flits.empty() || !slot.credits.empty())
             return;
@@ -478,7 +440,7 @@ Network::deliver()
             const auto &w = niFlitWires_[ev.wire & ~kNiWire];
             nis_[static_cast<std::size_t>(w.ni)]->acceptEjectedFlit(
                 w.ejPort, std::move(ev.f));
-            markNiActive(w.ni);
+            activeNis_.set(w.ni);
             continue;
         }
         // The fault plane acts on injection wires at delivery
@@ -503,7 +465,7 @@ Network::deliver()
             --parkedRouters_;
         }
         r.acceptFlit(w.port, std::move(ev.f), tick_);
-        markRouterActive(w.router);
+        activeRouters_.set(w.router);
     }
     slot.flits.clear();
     if (!withheld_.empty()) {
@@ -530,14 +492,14 @@ Network::deliver()
             NetworkInterface &ni = *nis_[static_cast<std::size_t>(w.ni)];
             ni.creditArrived(w.buf, ev.c.vc);
             if (ni.parked())
-                markNiActive(w.ni);
+                activeNis_.set(w.ni);
         } else {
             const auto &w = routerCreditWires_[ev.wire];
             Router &r = routers_[static_cast<std::size_t>(w.router)];
             if (r.creditArrived(w.port, ev.c.vc) && r.parked()) {
                 r.unpark(tick_);
                 --parkedRouters_;
-                markRouterActive(w.router);
+                activeRouters_.set(w.router);
             }
         }
     }
@@ -550,7 +512,7 @@ Network::inject(NodeId node, const PacketPtr &pkt)
     eqx_assert(node >= 0 && node < topo_->numNodes(), "inject: bad node");
     if (!nis_[static_cast<std::size_t>(node)]->inject(pkt, tick_))
         return false;
-    markNiActive(node);
+    activeNis_.set(node);
     return true;
 }
 
@@ -795,7 +757,7 @@ Network::activeSetsConsistent()
     int parked = 0;
     for (std::size_t i = 0; i < routers_.size(); ++i) {
         const Router &r = routers_[i];
-        bool active = (activeRouters_[i >> 6] >> (i & 63)) & 1;
+        bool active = activeRouters_.test(i);
         parked += r.parked();
         if (active ? r.parked()
                    : r.hasBufferedFlits() && !(r.parked() && r.canPark()))
@@ -806,7 +768,7 @@ Network::activeSetsConsistent()
     parked = 0;
     for (std::size_t i = 0; i < nis_.size(); ++i) {
         NetworkInterface &ni = *nis_[i];
-        bool active = (activeNis_[i >> 6] >> (i & 63)) & 1;
+        bool active = activeNis_.test(i);
         parked += ni.parked();
         if (!active && !ni.idle() && !(ni.parked() && ni.parkHolds()))
             return false;

@@ -209,17 +209,6 @@ class Network : private FaultPlaneHost
     void faultReturnCredit(NodeId ni, int buf, int vc) override;
     void faultMaskBuffer(NodeId ni, int buf) override;
 
-    void markRouterActive(NodeId r)
-    {
-        activeRouters_[static_cast<std::size_t>(r) >> 6] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(r) & 63);
-    }
-    void markNiActive(NodeId n)
-    {
-        activeNis_[static_cast<std::size_t>(n) >> 6] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(n) & 63);
-    }
-
     Router &routerRef(NodeId n)
     {
         return routers_[static_cast<std::size_t>(n)];
@@ -279,13 +268,12 @@ class Network : private FaultPlaneHost
 
     // ---- Activity-driven scheduling (DESIGN.md §10) ----
     /**
-     * Active-set bitmasks, one bit per router / NI. Iteration is by
-     * ascending index (bit scan), the same component order as a full
-     * walk — required so per-network stat accumulators see samples in
-     * a fixed order.
+     * Active sets, one bit per router / NI. Iteration is by ascending
+     * index, the same component order as a full walk — required so
+     * per-network stat accumulators see samples in a fixed order.
      */
-    std::vector<std::uint64_t> activeRouters_;
-    std::vector<std::uint64_t> activeNis_;
+    ActiveSet activeRouters_;
+    ActiveSet activeNis_;
     /** Components off their set but holding work (Router::parked(),
      *  NetworkInterface::parked()). */
     int parkedRouters_ = 0;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <exception>
 #include <set>
@@ -58,7 +57,7 @@ cpuRelax()
 } // namespace
 
 /**
- * The thread that ticks the request network, nets_[0], while the
+ * The thread that ticks the request network, all()[0], while the
  * calling thread ticks the reply group (DESIGN.md §8). start() offers
  * it one core cycle; join() returns once that tick is done. Each side
  * publishes with a release and waits with an acquire, so each sees
@@ -67,10 +66,10 @@ cpuRelax()
  * atomic::wait once kSpin has passed: a System that stopped stepping
  * burns no CPU. Whatever the helper's tick throws is rethrown by
  * join(). The thread allocates packets from its own arena, which dies
- * with it, so it must outlive every packet holder: System declares
- * it ahead of its networks and endpoints.
+ * with it, so it must outlive every packet holder: the group drops
+ * its networks before it, and System destroys the group last.
  */
-class System::NetHelper
+class NetworkGroup::NetHelper
 {
   public:
     explicit NetHelper(Network &net)
@@ -167,6 +166,82 @@ class System::NetHelper
     std::thread thread_; ///< last: starts once the rest exists
 };
 
+NetworkGroup::~NetworkGroup()
+{
+    all_.clear();
+}
+
+void
+NetworkGroup::overlap()
+{
+    if (mayUseSecondThread())
+        helper_ = std::make_unique<NetHelper>(*all_[0]);
+}
+
+void
+NetworkGroup::tick(Cycle cycle)
+{
+    if (!helper_)
+        return LayerOf::tick(cycle);
+    // Request network on the helper, reply group here; each keeps its
+    // own tick order, so outcomes are the serial ones.
+    helper_->start(cycle);
+    try {
+        for (std::size_t i = 1; i < all_.size(); ++i)
+            all_[i]->coreTick(cycle);
+    } catch (...) {
+        // Unwind only once the helper is done with the networks. A
+        // throw there too wins, as the serial order would have thrown
+        // it first.
+        helper_->join();
+        throw;
+    }
+    helper_->join();
+}
+
+void
+PeLayer::wire()
+{
+    active_ = ActiveSet(all_.size());
+    parkedAt_.assign(all_.size(), 0);
+    for (std::size_t i = 0; i < all_.size(); ++i) {
+        active_.set(i);
+        all_[i]->wire(active_.wakeBit(i));
+    }
+}
+
+void
+PeLayer::tick(Cycle cycle)
+{
+    // Every wake (a reply, a freed NI slot) lands during the network
+    // tick, the helper's before its join, so no bit changes under this
+    // walk.
+    ++steps_;
+    active_.forEach([&](std::size_t i) {
+        ProcessingElement &pe = *all_[i];
+        if (parkedAt_[i] != 0) {
+            pe.replayIdle(steps_ - 1 - parkedAt_[i]);
+            parkedAt_[i] = 0;
+        }
+        pe.tick(cycle);
+        if (pe.idleLastTick()) {
+            active_.clear(i);
+            parkedAt_[i] = steps_;
+        }
+    });
+}
+
+void
+PeLayer::settleParkedStats()
+{
+    for (std::size_t i = 0; i < all_.size(); ++i) {
+        if (parkedAt_[i] == 0)
+            continue;
+        all_[i]->replayIdle(steps_ - parkedAt_[i]);
+        parkedAt_[i] = steps_;
+    }
+}
+
 System::System(const SystemConfig &config, const WorkloadProfile &profile)
     : cfg_(config), model_(&resolveModel(cfg_))
 {
@@ -174,8 +249,8 @@ System::System(const SystemConfig &config, const WorkloadProfile &profile)
     buildPlacement();
     buildNetworks();
     buildEndpoints(profile);
-    if (networkGroupsDisjoint() && mayUseSecondThread())
-        helper_ = std::make_unique<NetHelper>(*nets_[0]);
+    if (networkGroupsDisjoint())
+        nets_.overlap();
 }
 
 System::~System() = default;
@@ -195,12 +270,12 @@ System::buildNetworks()
 {
     SchemeBuild build{cfg_, cbCoords_, cbNodes_, designUsed_};
     for (auto &spec : model_->networkSpecs(build))
-        nets_.push_back(std::make_unique<Network>(spec));
+        nets_.add(std::make_unique<Network>(spec));
 
     if (cfg_.fault.enabled()) {
         std::uint64_t base = cfg_.fault.seed ? cfg_.fault.seed
                                              : cfg_.seed;
-        for (auto &net : nets_)
+        for (auto &net : nets_.all())
             net->armFaults(cfg_.fault, net->params().name,
                            deriveStreamSeed(base, "fault",
                                             net->params().name));
@@ -224,7 +299,7 @@ System::buildEndpoints(const WorkloadProfile &profile)
     auto make_injector = [&](NodeId node, bool for_reply)
         -> PacketInjector * {
         injectors_.push_back(
-            model_->makeInjector(build, nets_, node, for_reply));
+            model_->makeInjector(build, nets_.all(), node, for_reply));
         return injectors_.back().get();
     };
 
@@ -269,17 +344,16 @@ System::buildEndpoints(const WorkloadProfile &profile)
     for (NodeId n = 0; n < num_nodes; ++n) {
         if (is_cb[static_cast<std::size_t>(n)]) {
             auto *inj = make_injector(n, /*for_reply=*/true);
-            cbs_.push_back(std::make_unique<CacheBank>(n, cfg_.cb, inj,
-                                                       &cfg_.sizes));
+            CacheBank &cb = cbs_.add(std::make_unique<CacheBank>(
+                n, cfg_.cb, inj, &cfg_.sizes));
             if (traffic_->wantsCoherence())
-                cbs_.back()->enableCoherence(
-                    {cfg_.traffic.cohRegionLines});
-            tileSinks_[static_cast<std::size_t>(n)] = cbs_.back().get();
+                cb.enableCoherence({cfg_.traffic.cohRegionLines});
+            tileSinks_[static_cast<std::size_t>(n)] = &cb;
         } else if (open_loop) {
             auto *inj = make_injector(n, /*for_reply=*/false);
-            storms_.push_back(traffic_->makeEndpoint(
-                pe_index, n, inj, &amap_, &cfg_.sizes));
-            tileSinks_[static_cast<std::size_t>(n)] = storms_.back().get();
+            tileSinks_[static_cast<std::size_t>(n)] =
+                &storms_.add(traffic_->makeEndpoint(pe_index, n, inj,
+                                                    &amap_, &cfg_.sizes));
             ++pe_index;
         } else {
             auto *inj = make_injector(n, /*for_reply=*/false);
@@ -291,25 +365,15 @@ System::buildEndpoints(const WorkloadProfile &profile)
             if (capture_)
                 src = std::make_unique<CaptureSource>(
                     std::move(src), capture_.get(), pe_index);
-            pes_.push_back(std::make_unique<ProcessingElement>(
-                n, cfg_.pe, std::move(src), &amap_, inj, &cfg_.sizes));
-            tileSinks_[static_cast<std::size_t>(n)] = pes_.back().get();
+            tileSinks_[static_cast<std::size_t>(n)] =
+                &pes_.add(std::make_unique<ProcessingElement>(
+                    n, cfg_.pe, std::move(src), &amap_, inj, &cfg_.sizes));
             ++pe_index;
         }
     }
 
-    model_->wireSinks(build, nets_, tileSinks_, overlaySinks_);
-
-    // PE active set (DESIGN.md §10): every PE starts on it; a PE whose
-    // tick changed nothing parks until a reply or a freed NI slot.
-    // Sized once, so the wake bits handed out stay valid.
-    peActive_.assign((pes_.size() + 63) / 64, 0);
-    peParkedAt_.assign(pes_.size(), 0);
-    for (std::size_t i = 0; i < pes_.size(); ++i) {
-        peActive_[i >> 6] |= std::uint64_t{1} << (i & 63);
-        pes_[i]->wire(WakeBit{&peActive_[i >> 6],
-                              std::uint64_t{1} << (i & 63)});
-    }
+    model_->wireSinks(build, nets_.all(), tileSinks_, overlaySinks_);
+    pes_.wire();
 }
 
 void
@@ -321,50 +385,8 @@ System::step()
     if (cfg_.cancel && cfg_.cancel->cancelled())
         cancelled_ = true;
     ++cycle_;
-    if (helper_) {
-        // Request network on the helper, reply group here; each keeps
-        // its own tick order, so outcomes are the serial ones.
-        helper_->start(cycle_);
-        try {
-            for (std::size_t i = 1; i < nets_.size(); ++i)
-                nets_[i]->coreTick(cycle_);
-        } catch (...) {
-            // Unwind only once the helper is done with the networks. A
-            // throw there too wins, as the serial order would have
-            // thrown it first.
-            helper_->join();
-            throw;
-        }
-        helper_->join();
-    } else {
-        for (auto &net : nets_)
-            net->coreTick(cycle_);
-    }
-    for (auto &cb : cbs_)
-        cb->tick(cycle_);
-    // PEs in ascending order, parked ones skipped. Every wake (a reply,
-    // a freed NI slot) lands during the network ticks above, the
-    // helper's before the join, so no bit changes under this walk. A
-    // woken PE first repeats its idle tick once per step it missed.
-    std::uint64_t steps = stepsTaken();
-    for (std::size_t w = 0; w < peActive_.size(); ++w) {
-        for (std::uint64_t m = peActive_[w]; m != 0; m &= m - 1) {
-            std::size_t i = (w << 6) + static_cast<std::size_t>(
-                                           std::countr_zero(m));
-            ProcessingElement &pe = *pes_[i];
-            if (peParkedAt_[i] != 0) {
-                pe.replayIdle(steps - 1 - peParkedAt_[i]);
-                peParkedAt_[i] = 0;
-            }
-            pe.tick(cycle_);
-            if (pe.idleLastTick()) {
-                peActive_[w] &= ~(std::uint64_t{1} << (i & 63));
-                peParkedAt_[i] = steps;
-            }
-        }
-    }
-    for (auto &s : storms_)
-        s->tick(cycle_);
+    for (ClockedLayer *layer : layers_)
+        layer->tick(cycle_);
     // Warmup/measurement boundary: discard the cold-start transient.
     if (cfg_.warmupCycles > 0 && cycle_ == cfg_.warmupCycles)
         resetStats();
@@ -373,18 +395,14 @@ System::step()
 bool
 System::networkGroupsDisjoint() const
 {
-    if (nets_.size() < 2)
+    const auto &nets = nets_.all();
+    if (nets.size() < 2)
         return false;
-    std::set<const PacketSink *> plain;
-    for (const auto &pe : pes_)
-        plain.insert(pe.get());
-    for (const auto &cb : cbs_)
-        plain.insert(cb.get());
-    for (const auto &s : storms_)
-        plain.insert(s.get());
+    // Every PE, CB and storm endpoint, by tile.
+    std::set<const PacketSink *> plain(tileSinks_.begin(), tileSinks_.end());
     std::set<const PacketSink *> request;
-    for (std::size_t i = 0; i < nets_.size(); ++i) {
-        const Network &net = *nets_[i];
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        const Network &net = *nets[i];
         for (NodeId n = 0; n < net.topology().numNodes(); ++n) {
             const PacketSink *s = net.sink(n);
             if (!s)
@@ -406,37 +424,20 @@ System::maybeSkip()
     if (cycle_ + 1 >= cfg_.maxCycles)
         return 0;
 
-    // Every subsystem reports its next due cycle; the earliest wins.
-    // Components likeliest to have immediate work go first so a
-    // loaded system bails out after one query. A fault-armed network
-    // always reports the next cycle (its plane runs timers every
-    // tick), so such a system never skips.
+    // Every layer reports its next due cycle; the earliest wins, so
+    // the walk may stop at the first layer due next cycle. A
+    // fault-armed network always reports the next cycle (its plane
+    // runs timers every tick), so such a system never skips.
     Cycle next = kNeverCycle;
-    auto due_now = [&](Cycle due) {
-        if (due == cycle_ + 1)
-            return true;
-        if (due != kNeverCycle) {
-            eqx_assert(due > cycle_, "wake-up at ", due,
-                       " not after cycle ", cycle_);
-            next = std::min(next, due);
-        }
-        return false;
-    };
-    for (const auto &pe : pes_)
-        if (due_now(pe->nextDueCycle(cycle_)))
+    for (const ClockedLayer *layer : layers_) {
+        next = std::min(next, layer->nextDueCycle(cycle_));
+        if (next == cycle_ + 1)
             return 0;
-    for (const auto &s : storms_)
-        if (due_now(s->nextDueCycle(cycle_)))
-            return 0;
-    for (const auto &cb : cbs_)
-        if (due_now(cb->nextDueCycle(cycle_)))
-            return 0;
-    for (const auto &net : nets_)
-        if (due_now(net->nextDueCycle(cycle_)))
-            return 0;
-
+    }
     if (next == kNeverCycle)
         return 0; // drained: run() exits
+    eqx_assert(next > cycle_, "wake-up at ", next, " not after cycle ",
+               cycle_);
     // Land one cycle short so the due cycle itself runs a full
     // step(), clamped so the warmup-reset and maxCycles boundaries
     // are still crossed by explicit steps.
@@ -446,8 +447,8 @@ System::maybeSkip()
     target = std::min(target, cfg_.maxCycles - 1);
     if (target <= cycle_)
         return 0;
-    for (auto &net : nets_)
-        net->skipTo(target);
+    for (ClockedLayer *layer : layers_)
+        layer->skipTo(target);
     Cycle skipped = target - cycle_;
     cycle_ = target;
     cyclesSkipped_ += skipped;
@@ -457,33 +458,24 @@ System::maybeSkip()
 void
 System::resetStats()
 {
-    for (auto &net : nets_)
-        net->resetStats();
+    for (ClockedLayer *layer : layers_)
+        layer->resetStats();
 }
 
 bool
 System::finished() const
 {
-    for (const auto &pe : pes_)
-        if (!pe->done())
-            return false;
-    for (const auto &s : storms_)
-        if (!s->done())
-            return false;
-    for (const auto &cb : cbs_)
-        if (!cb->drained())
-            return false;
-    for (const auto &net : nets_)
-        if (!net->drained())
-            return false;
-    return true;
+    // Back to front, as a PE or storm endpoint still running answers
+    // before a network scans its routers.
+    return std::all_of(layers_.rbegin(), layers_.rend(),
+                       [](const ClockedLayer *l) { return l->drained(); });
 }
 
 double
 System::areaMm2() const
 {
     double area = 0;
-    for (const auto &net : nets_)
+    for (const auto &net : nets_.all())
         area += power_.networkAreaMm2(*net);
     return area;
 }
@@ -494,12 +486,12 @@ System::collect(RunResult &out) const
     out.cycles = cycle_;
     out.execNs = power_.cyclesToNs(cycle_);
     out.totalInsts = 0;
-    for (const auto &pe : pes_)
+    for (const auto &pe : pes_.all())
         out.totalInsts += pe->instsIssued();
     out.ipc = cycle_ ? static_cast<double>(out.totalInsts) / cycle_ : 0;
 
     out.energy = EnergyBreakdown{};
-    for (const auto &net : nets_) {
+    for (const auto &net : nets_.all()) {
         EnergyBreakdown e = power_.networkEnergyPj(*net, cycle_);
         out.energy.buffer += e.buffer;
         out.energy.crossbar += e.crossbar;
@@ -516,7 +508,7 @@ System::collect(RunResult &out) const
     double freq = power_.params().freqGhz;
     double rq = 0, rn = 0, pq = 0, pn = 0;
     std::uint64_t rpk = 0, ppk = 0;
-    for (const auto &net : nets_) {
+    for (const auto &net : nets_.all()) {
         double tick_ns = 1.0 / (freq * net->params().clockRatio());
         const LatencyStats &ls = net->latency();
         rq += ls.queueLat[0].sum() * tick_ns;
@@ -543,7 +535,7 @@ System::collect(RunResult &out) const
         Histogram merged(LatencyStats::kHistBucketTicks,
                          LatencyStats::kHistBuckets);
         double tick_ns = 0;
-        for (const auto &net : nets_) {
+        for (const auto &net : nets_.all()) {
             if (net->latency().packets[c] == 0)
                 continue;
             merged.merge(net->latency().totalHist[c]);
@@ -566,9 +558,9 @@ System::collect(RunResult &out) const
 
     // Scheme-specific result fields (EquiNox's max-EIR load, say).
     SchemeBuild build{cfg_, cbCoords_, cbNodes_, designUsed_};
-    model_->collectSchemeStats(build, nets_, out);
+    model_->collectSchemeStats(build, nets_.all(), out);
 
-    for (const auto &net : nets_) {
+    for (const auto &net : nets_.all()) {
         if (!net->faultArmed())
             continue;
         out.faultArmed = true;
@@ -585,9 +577,9 @@ System::collect(RunResult &out) const
     }
     out.degraded = out.faultMaskedPorts > 0;
 
-    if (!storms_.empty()) {
+    if (!storms_.all().empty()) {
         out.stormArmed = true;
-        for (const auto &s : storms_) {
+        for (const auto &s : storms_.all()) {
             out.stormOffered += s->offered();
             out.stormInjected += s->injected();
             out.stormDelivered += s->delivered();
@@ -596,7 +588,7 @@ System::collect(RunResult &out) const
     }
     if (traffic_ && traffic_->wantsCoherence()) {
         out.cohArmed = true;
-        for (const auto &cb : cbs_) {
+        for (const auto &cb : cbs_.all()) {
             out.cohInvalidations += cb->invalidationsSent();
             out.cohInvAcks += cb->invAcksReceived();
         }
@@ -604,7 +596,7 @@ System::collect(RunResult &out) const
 
     if (cfg_.collectMetrics) {
         out.metrics.reset();
-        for (const auto &net : nets_)
+        for (const auto &net : nets_.all())
             net->exportStats(out.metrics, net->params().name);
     }
 }
@@ -612,15 +604,8 @@ System::collect(RunResult &out) const
 void
 System::settleParkedStats()
 {
-    std::uint64_t steps = stepsTaken();
-    for (std::size_t i = 0; i < pes_.size(); ++i) {
-        if (peParkedAt_[i] == 0)
-            continue;
-        pes_[i]->replayIdle(steps - peParkedAt_[i]);
-        peParkedAt_[i] = steps;
-    }
-    for (auto &net : nets_)
-        net->settleParkedStats();
+    for (ClockedLayer *layer : layers_)
+        layer->settleParkedStats();
 }
 
 RunResult

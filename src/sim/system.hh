@@ -8,18 +8,16 @@
 #ifndef EQX_SIM_SYSTEM_HH
 #define EQX_SIM_SYSTEM_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "gpu/cache_bank.hh"
 #include "gpu/endpoint.hh"
-#include "gpu/pe.hh"
-#include "noc/network.hh"
 #include "power/power_model.hh"
+#include "sim/layers.hh"
 #include "sim/scheme.hh"
-#include "traffic/storm.hh"
 #include "traffic/trace_io.hh"
 #include "traffic/traffic_model.hh"
 #include "workloads/profiles.hh"
@@ -162,19 +160,19 @@ class System
     double areaMm2() const;
 
     const std::vector<Coord> &cbPlacement() const { return cbCoords_; }
-    int numNetworks() const { return static_cast<int>(nets_.size()); }
-    const Network &network(int i) const { return *nets_[i]; }
-    int numPes() const { return static_cast<int>(pes_.size()); }
-    const ProcessingElement &pe(int i) const { return *pes_[i]; }
-    const CacheBank &cacheBank(int i) const { return *cbs_[i]; }
-    int numCacheBanks() const { return static_cast<int>(cbs_.size()); }
+    int numNetworks() const { return static_cast<int>(nets_.all().size()); }
+    const Network &network(int i) const { return *nets_.all()[i]; }
+    int numPes() const { return static_cast<int>(pes_.all().size()); }
+    const ProcessingElement &pe(int i) const { return *pes_.all()[i]; }
+    const CacheBank &cacheBank(int i) const { return *cbs_.all()[i]; }
+    int numCacheBanks() const { return static_cast<int>(cbs_.all().size()); }
     const EquiNoxDesign *design() const { return designUsed_; }
 
     /** The SchemeModel this system was built from. */
     const SchemeModel &schemeModel() const { return *model_; }
 
     /**
-     * Do the request network (nets_[0]) and the reply group (the
+     * Do the request network (network(0)) and the reply group (the
      * rest) meet only at endpoints? True when every sink wired to any
      * network is one of this system's PEs, CBs or storm endpoints and
      * no sink of the request network is wired to another network
@@ -183,18 +181,13 @@ class System
      */
     bool networkGroupsDisjoint() const;
 
-    /**
-     * Does step() tick the request network on a helper thread while
-     * the calling thread ticks the reply group? Decided at
-     * construction: the groups must be disjoint, the process must
-     * be allowed at least two CPUs, and the system must not run on a
-     * worker of a multi-worker JobPool (DESIGN.md §8).
-     */
-    bool overlapsNetworks() const { return helper_ != nullptr; }
+    /** Does step() tick the request network on a helper thread while
+     *  the caller ticks the reply group? Decided at construction: the
+     *  groups must be disjoint and NetworkGroup::overlap() must allow
+     *  a second thread (DESIGN.md §8). */
+    bool overlapsNetworks() const { return nets_.overlaps(); }
 
   private:
-    class NetHelper;
-
     void buildPlacement();
     void buildNetworks();
     void buildEndpoints(const WorkloadProfile &profile);
@@ -214,20 +207,17 @@ class System
     EquiNoxDesign ownedDesign_;       ///< when the flow runs in-system
     const EquiNoxDesign *designUsed_ = nullptr;
 
-    /** The request network's thread; null when step() ticks every
-     *  network here. Declared ahead of the networks and endpoints so
-     *  the thread, and with it the packet arena it allocates from,
-     *  outlives every packet they hold. */
-    std::unique_ptr<NetHelper> helper_;
-
-    std::vector<std::unique_ptr<Network>> nets_;
-    // nets_[0]: the single/request network.
-    // separate-network schemes: nets_[1] = reply (or subnets 1..8).
-    // InterposerCMesh: nets_[1] = the CMesh overlay.
-
-    std::vector<std::unique_ptr<ProcessingElement>> pes_;
-    std::vector<std::unique_ptr<CacheBank>> cbs_;
-    std::vector<std::unique_ptr<StormEndpoint>> storms_;
+    /** The clocked layers (DESIGN.md §8), declared in tick order.
+     *  Members die in reverse, so the network group, whose helper
+     *  thread owns a packet arena, outlives every packet holder. */
+    NetworkGroup nets_;
+    CacheBankLayer cbs_;
+    PeLayer pes_;
+    StormLayer storms_;
+    /** What step(), maybeSkip(), finished(), resetStats() and
+     *  settleParkedStats() walk. */
+    const std::array<ClockedLayer *, 4> layers_{&nets_, &cbs_, &pes_,
+                                                &storms_};
     std::vector<std::unique_ptr<PacketInjector>> injectors_;
     std::vector<std::unique_ptr<PacketSink>> overlaySinks_;
     std::vector<PacketSink *> tileSinks_; ///< tile id -> endpoint
@@ -241,16 +231,6 @@ class System
 
     Cycle cycle_ = 0;
     bool cancelled_ = false;
-
-    /** PE active set, one bit per pes_ index (DESIGN.md §10). */
-    std::vector<std::uint64_t> peActive_;
-    /** stepsTaken() at the tick that parked each PE; 0 while active.
-     *  Spans count stepped cycles only, as a PE ticked every stepped
-     *  cycle counts its stalls. */
-    std::vector<std::uint64_t> peParkedAt_;
-    /** Cycles step() has run (the rest were skipped by maybeSkip()). */
-    std::uint64_t stepsTaken() const { return cycle_ - cyclesSkipped_; }
-
     Cycle cyclesSkipped_ = 0;
 };
 

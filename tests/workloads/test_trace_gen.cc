@@ -128,9 +128,11 @@ TEST(TraceGen, SharedFractionZeroStaysPrivate)
     PeTraceGen gen(wp, 1, 3);
     Addr priv_base = static_cast<Addr>(2) << 30;
     TraceOp op;
-    while (gen.next(op))
-        if (op.isMem)
+    while (gen.next(op)) {
+        if (op.isMem) {
             EXPECT_GE(op.addr, priv_base);
+        }
+    }
 }
 
 TEST(TraceGen, FullSequentialWalksByOneLine)
