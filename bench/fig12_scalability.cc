@@ -52,7 +52,7 @@ try {
         sc.design.mcts.iterationsPerLevel = 300;
     };
     applyRunnerKnobs(base, cfg, false);
-    SweepOptions base_so = parseSweepKnobs(cfg);
+    SweepOptions so = parseSweepKnobs(cfg);
     cfg.rejectUnused();
 
     printHeader("fig12_scalability: 8x8 / 12x12 / 16x16",
@@ -66,11 +66,11 @@ try {
     for (int n : sizes) {
         ExperimentConfig ec = base;
         ec.width = ec.height = n;
-        // One journal per mesh size: the loop would otherwise reopen
-        // (and truncate) the same file three times.
-        SweepOptions so = base_so;
-        if (!so.journalPath.empty())
-            so.journalPath += ".s" + std::to_string(n);
+        // One JSONL file per mesh size: each size's runner would
+        // otherwise reopen (and truncate) the same file. A single
+        // size keeps the name it was given.
+        if (sizes.size() > 1 && !ec.jsonlPath.empty())
+            ec.jsonlPath += ".s" + std::to_string(n);
         auto cells = runMatrixOrSweep(ec, so);
         auto ipc = [](const RunResult &r) { return r.ipc; };
         // First scheme = baseline, last = variant: the default pair is

@@ -4,16 +4,16 @@
  * matrix via the src/runner JobPool. Demonstrates every engine
  * feature: worker fan-out, deterministic results, per-job timeouts
  * with retry, failed-cell reporting, the progress ticker, and
- * streaming JSONL export alongside the classic CSV.
+ * JSONL export (canonical cell order for any worker count) alongside
+ * the classic CSV.
  *
  * Usage (key=value args):
  *   sweep [workers=0] [benchmarks=8] [scale=0.2] [seed=1]
  *         [scheme=key,key,...] [timeout=0] [retries=1] [progress=1]
  *         [jsonl=out.jsonl] [csv=out.csv]
  *         [decorrelate=0] [verify=0] [warmup=0] [metrics=0]
- *         [cache=dir] [journal=path] [resume=0] [shard=i/N]
- *         [digest=0] [traffic=key] [storm_rate=f] ...
- *   sweep merge=a.jnl,b.jnl out=merged.jsonl [gaps=0]
+ *         [cache=dir] [shard=i/N] [digest=0] [traffic=key]
+ *         [storm_rate=f] ...
  *
  *   scheme=...     restrict the sweep to these SchemeRegistry keys
  *                  (names or aliases, any case); default is the
@@ -35,21 +35,18 @@
  * Sweep fabric (src/sweep, DESIGN.md §13):
  *   cache=DIR      content-addressed cell cache: cells whose digest
  *                  is stored are served without simulating; repeated
- *                  identical sweeps simulate nothing
- *   journal=PATH   write-ahead journal of this run's cells
- *   resume=1       recover an existing journal (skip its cells)
- *                  instead of truncating it
+ *                  identical sweeps simulate nothing, and a rerun of
+ *                  a killed sweep simulates only what it did not store
  *   shard=i/N      run only the cells shard i of N owns; the split
- *                  is a pure function of (seed, scheme, benchmark)
+ *                  is a pure function of (seed, scheme, benchmark).
+ *                  Shards that share (or copy together) one cache=
+ *                  combine by rerunning the unsharded sweep against it
  *   digest=1       dry run: list every cell's digest (and owning
  *                  shard under shard=i/N), simulate nothing
- *   merge=A,B,...  merge shard journals into canonical JSONL at
- *                  out= (default merged.jsonl); gaps=1 tolerates an
- *                  incomplete shard set
  *
  * Exit status: 0 only when every requested cell succeeded (and, with
- * verify=1, matched the serial reference; with merge=, the merge was
- * complete and consistent); 2 on a user error such as an unknown knob.
+ * verify=1, matched the serial reference); 2 on a user error such as
+ * an unknown knob.
  */
 
 #include <algorithm>
@@ -63,7 +60,6 @@
 #include "runner/job_pool.hh"
 #include "sim/experiment.hh"
 #include "sweep/knobs.hh"
-#include "sweep/shard.hh"
 
 using namespace eqx;
 
@@ -71,21 +67,6 @@ int
 main(int argc, char **argv)
 try {
     Config cfg = parseCliArgs(argc, argv);
-
-    if (cfg.has("merge")) {
-        std::vector<std::string> inputs = splitList(cfg.getString("merge"));
-        std::string out = cfg.getString("out", "merged.jsonl");
-        bool gaps = cfg.getBool("gaps", false);
-        cfg.rejectUnused();
-        MergeResult mr = mergeJournals(inputs, out, gaps);
-        if (!mr.ok()) {
-            std::fprintf(stderr, "merge failed: %s\n", mr.error.c_str());
-            return 1;
-        }
-        std::printf("merged %zu cells from %zu journal(s) into %s\n",
-                    mr.cells, mr.inputs, out.c_str());
-        return 0;
-    }
 
     ExperimentConfig ec;
     applyMatrixKnobs(ec, cfg, 0.2, 8);

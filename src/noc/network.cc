@@ -64,7 +64,7 @@ Network::Network(const NetworkSpec &spec)
     // Power-of-two pending wheel above the longest channel latency, so
     // slot lookup is a mask. Sized before any channel exists: channels
     // post straight into it.
-    int max_chan_lat = std::max(1, params_.channelLatencyCycles);
+    int max_chan_lat = kChannelLatencyCycles;
     for (const auto &[cb, eirs] : spec.eirGroups) {
         eqx_assert(cb >= 0 && cb < n, "EIR group CB out of range");
         for (NodeId e : eirs) {
@@ -99,14 +99,15 @@ Network::Network(const NetworkSpec &spec)
     // (A out -> B in) plus the reverse credit channel. Routers ascend
     // and directions keep their fixed order, so mesh wiring is
     // byte-identical to the pre-topology builder.
-    int lat = params_.channelLatencyCycles;
     for (NodeId a = 0; a < nr; ++a) {
         for (Dir d : {Dir::North, Dir::East, Dir::South, Dir::West}) {
             int b = topo_->neighbor(a, d);
             if (b < 0)
                 continue;
-            auto *fc = newFlitChan(lat, nextTag(routerFlitWires_));
-            auto *cc = newCreditChan(lat, nextTag(routerCreditWires_));
+            auto *fc = newFlitChan(kChannelLatencyCycles,
+                                   nextTag(routerFlitWires_));
+            auto *cc = newCreditChan(kChannelLatencyCycles,
+                                     nextTag(routerCreditWires_));
             int in_idx = routerRef(b).addInputPort(PortKind::Geo,
                                                    opposite(d), cc);
             int out_idx = routerRef(a).addOutputPort(

@@ -12,9 +12,8 @@ NetworkInterface::NetworkInterface(NodeId node, const Topology *topo,
                                    NetworkActivity *activity,
                                    LatencyStats *latency)
     : node_(node), topo_(topo), params_(params), activity_(activity),
-      latency_(latency), coreCapacity_(params->niInjBufPackets)
+      latency_(latency)
 {
-    eqx_assert(coreCapacity_ >= 1, "NI core queue needs capacity");
 }
 
 int
@@ -50,7 +49,7 @@ NetworkInterface::addEjPort(Channel<Credit> *credit_up)
 bool
 NetworkInterface::canInject() const
 {
-    return static_cast<int>(coreQueue_.size()) < coreCapacity_;
+    return static_cast<int>(coreQueue_.size()) < kNiInjBufPackets;
 }
 
 bool
@@ -135,8 +134,7 @@ NetworkInterface::tickEjection(Cycle now_ticks)
     int v = params_->vcsPerPort;
     bool moved = false;
     for (auto &p : ejPorts_) {
-        if (static_cast<int>(delivered_.size()) >=
-            params_->niEjectQueuePackets)
+        if (static_cast<int>(delivered_.size()) >= kNiEjectQueuePackets)
             return moved; // assembled-packet queue full: backpressure
         ejReqs_.clear();
         for (int i = 0; i < v; ++i)

@@ -248,7 +248,6 @@ class NetworkInterface
     LatencyStats *latency_;
 
     std::deque<PacketPtr> coreQueue_;
-    int coreCapacity_;
     std::vector<InjBuffer> bufs_;
     std::vector<EjPort> ejPorts_;
     std::deque<PacketPtr> delivered_;

@@ -29,6 +29,14 @@ enum class RoutingMode : std::uint8_t
     MinimalAdaptive,
 };
 
+/** Router-to-router link latency, in network ticks. */
+constexpr int kChannelLatencyCycles = 1;
+/** Packets an NI's core-side injection queue holds. */
+constexpr int kNiInjBufPackets = 2;
+/** Assembled packets an NI holds for its sink before it stops
+ *  ejecting (backpressure into the network). */
+constexpr int kNiEjectQueuePackets = 4;
+
 /** Which message classes a network carries. */
 struct ClassMask
 {
@@ -92,17 +100,12 @@ struct NocParams
      */
     int coherenceVcs = 0;
 
-    int channelLatencyCycles = 1; ///< router-to-router link latency
-
     /**
      * Mesh links routed through the interposer RDLs (the CMesh overlay
      * of Interposer-CMesh): counted as interposer traversals by the
      * power model.
      */
     bool geoLinksInterposer = false;
-
-    int niInjBufPackets = 2;   ///< default NI injection queue (packets)
-    int niEjectQueuePackets = 4; ///< assembled packets awaiting the sink
 
     ClassMask classes;         ///< which packet classes are admitted
 

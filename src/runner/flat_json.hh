@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict flat-JSON value model and parser, shared by every on-disk
- * line format in the tree: the sweep cache/journal records
+ * line format in the tree: the sweep cache records
  * (src/sweep/record_io) and the traffic trace capture/replay files
  * (src/traffic/trace_io).
  *

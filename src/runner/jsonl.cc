@@ -137,10 +137,9 @@ JsonObject::str() const
     return "{" + body_ + "}";
 }
 
-JsonlWriter::JsonlWriter(const std::string &path, bool append)
-    : path_(path)
+JsonlWriter::JsonlWriter(const std::string &path) : path_(path)
 {
-    f_ = std::fopen(path.c_str(), append ? "a" : "w");
+    f_ = std::fopen(path.c_str(), "w");
     if (!f_)
         eqx_fatal("cannot open '", path, "' for JSONL streaming");
 }

@@ -51,18 +51,13 @@ class JsonObject
 /**
  * Append-only JSONL file: one JSON object per line, each write
  * serialized by a mutex and flushed so a crashed or killed sweep
- * still leaves every completed record on disk.
+ * still leaves every record it wrote on disk.
  */
 class JsonlWriter
 {
   public:
-    /**
-     * Opens (truncates) the file; fatal if it cannot be created. With
-     * append = true existing records are kept and writes extend the
-     * file — the journaled-resume mode of src/sweep (the caller is
-     * responsible for truncating any torn trailing record first).
-     */
-    explicit JsonlWriter(const std::string &path, bool append = false);
+    /** Opens (truncates) the file; fatal if it cannot be created. */
+    explicit JsonlWriter(const std::string &path);
     ~JsonlWriter();
 
     JsonlWriter(const JsonlWriter &) = delete;

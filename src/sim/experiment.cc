@@ -124,8 +124,8 @@ ExperimentRunner::runMatrix()
     }
 
     // Shard predicate: drop cells another shard owns. Indices keep
-    // their canonical (unsharded) values so shard outputs merge back
-    // into single-process order.
+    // their canonical (unsharded) values, which address the cache and
+    // the shard split.
     if (cfg_.cellFilter) {
         std::vector<CellRef> kept_order;
         std::vector<CellResult> kept_cells;
@@ -150,9 +150,15 @@ ExperimentRunner::runMatrix()
     if (wants_design && !makeSystemConfig(*wants_design).preDesign)
         equinoxDesign();
 
+    // JSONL records go out in canonical order whatever order the pool
+    // finishes cells in: each finished cell is marked, and the longest
+    // finished prefix not yet written is written (onJobDone runs
+    // serialized, so `written` needs no lock of its own).
     std::unique_ptr<JsonlWriter> jsonl;
     if (!cfg_.jsonlPath.empty())
         jsonl = std::make_unique<JsonlWriter>(cfg_.jsonlPath);
+    std::vector<std::uint8_t> finished(cells.size(), 0);
+    std::size_t written = 0;
 
     JobPoolConfig pc;
     pc.workers = cfg_.workers;
@@ -163,7 +169,7 @@ ExperimentRunner::runMatrix()
     pc.onJobDone = [&](std::size_t i, const JobReport &rep) {
         CellResult &cell = cells[i];
         if (rep.shortCircuited) {
-            // The lookup hook restored the cell from cache/journal,
+            // The lookup hook restored the cell from the cache,
             // including its original attempts/failed fields; only the
             // wall clock (the lookup cost) is this run's own.
             cell.wallMs = rep.wallMs;
@@ -173,8 +179,10 @@ ExperimentRunner::runMatrix()
             cell.wallMs = rep.wallMs;
             cell.error = rep.error;
         }
+        finished[i] = 1;
         if (jsonl)
-            jsonl->write(cellJsonRecord(cell));
+            for (; written < cells.size() && finished[written]; ++written)
+                jsonl->write(cellJsonRecord(cells[written]));
         if (cfg_.cellDone)
             cfg_.cellDone(cell);
     };

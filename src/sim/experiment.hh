@@ -44,8 +44,8 @@ struct CellResult
 
     /**
      * Canonical matrix index (workload-major, scheme-minor) over the
-     * *unsharded* matrix. Stable across shard splits, so sharded
-     * sweep journals can be merged back into single-process order.
+     * *unsharded* matrix. Stable across shard splits, so a shard's
+     * cells keep the slots they have in the single-process run.
      * Not part of the sweep JSONL record schema.
      */
     std::size_t index = 0;
@@ -95,7 +95,10 @@ struct ExperimentConfig
     int jobRetries = 1;
     /** Emit a stderr progress ticker while the matrix runs. */
     bool progress = false;
-    /** Stream one JSONL record per completed cell to this path. */
+    /** Write one JSONL record per finished cell to this path, in
+     *  canonical order (the returned vector's order) for any worker
+     *  count; each record goes out once every cell before it is
+     *  finished too. */
     std::string jsonlPath;
     /** Give each cell a private Rng stream derived from
      *  (seed, scheme, benchmark) instead of the shared base seed.
@@ -113,10 +116,10 @@ struct ExperimentConfig
     std::function<bool(const CellResult &)> cellFilter;
     /** Consulted in the pool path before a cell is simulated: fill
      *  the cell (result/failed/attempts/error) and return true to
-     *  serve it from cache/journal without running. */
+     *  serve it from the cache without running. */
     std::function<bool(CellResult &)> cellLookup;
     /** Called (serialized) after every finished cell, cache-served or
-     *  simulated; the cache/journal population point. */
+     *  simulated; the cache population point. */
     std::function<void(const CellResult &)> cellDone;
 };
 
@@ -177,7 +180,7 @@ class ExperimentRunner
 std::string cellJsonRecord(const CellResult &cell);
 
 /** The same record as a JsonObject, for callers that splice extra
- *  fields around it (the src/sweep cache/journal records). */
+ *  fields around it (the src/sweep cache records). */
 JsonObject cellJsonObject(const CellResult &cell);
 
 /**

@@ -24,7 +24,7 @@ namespace eqx {
  * Version of the (serialization schema, record schema) pair. Bump it
  * whenever the canonical serialization changes meaning (a knob is
  * added/renamed) or the cache record format changes incompatibly —
- * every old cache/journal entry then misses instead of aliasing.
+ * every old cache entry then misses instead of aliasing.
  */
 constexpr int kSweepSchemaVersion = 3;
 

@@ -109,15 +109,11 @@ parseSweepKnobs(const Config &cfg)
 {
     SweepOptions so;
     so.cacheDir = cfg.getString("cache", "");
-    so.journalPath = cfg.getString("journal", "");
-    so.resume = cfg.getBool("resume", false);
     std::string shard = cfg.getString("shard", "");
     if (!shard.empty() &&
         !parseShardSpec(shard, so.shardIndex, so.shardCount))
         eqx_fatal("bad shard= spec '", shard,
                   "' (want i/N with 0 <= i < N)");
-    if (so.resume && so.journalPath.empty())
-        eqx_fatal("resume=1 needs journal=<path>");
     return so;
 }
 
@@ -150,10 +146,9 @@ runMatrixOrSweep(const ExperimentConfig &ec, const SweepOptions &so)
     }
     SweepOutcome out = runSweep(ec, so);
     std::printf("sweep fabric: %zu/%zu cells (shard %d/%d), "
-                "%zu journal + %zu cache served, %zu simulated, "
-                "%zu failed\n",
+                "%zu cache served, %zu simulated, %zu failed\n",
                 out.shardCells, out.totalCells, so.shardIndex,
-                so.shardCount, out.journalHits, out.cacheHits,
+                so.shardCount, out.cacheHits,
                 out.simulated, out.failed);
     return std::move(out.cells);
 }

@@ -25,7 +25,7 @@
  *   storm_hot_cbs=<n> storm_hot_frac=<f> coh_vcs=<n> coh_region=<n>
  * Sweep fabric (parseSweepKnobs; DESIGN.md §13), read only by the CLIs
  * that honour it (fig09, fig10, fig12, sweep):
- *   cache=<dir> journal=<path> resume=1 (needs journal=) shard=<i/N>
+ *   cache=<dir> shard=<i/N>
  * Fault (applyFaultKnobs; DESIGN.md §11, EXPERIMENTS.md table):
  *   fault_rate=<f> fault_types=<kinds> retx_timeout=<n> retx_max=<n>
  *   fault_seed=<n> fault_horizon=<n> detect_latency=<n> ack_latency=<n>

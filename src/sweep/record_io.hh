@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache/journal record IO: the on-disk record schema of the sweep
+ * Cache record IO: the on-disk record schema of the sweep
  * fabric and an exact round-trip between it and CellResult.
  *
  * A record is one flat JSON object: the sweep JSONL record
@@ -31,7 +31,7 @@
 
 namespace eqx {
 
-/** One cache/journal record. */
+/** One cache record. */
 struct CellRecord
 {
     CellDigest digest;

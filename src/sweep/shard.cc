@@ -1,12 +1,9 @@
 #include "sweep/shard.hh"
 
+#include <climits>
 #include <cstdlib>
-#include <map>
 
-#include "runner/jsonl.hh"
 #include "runner/stream_seed.hh"
-#include "sim/experiment.hh"
-#include "sweep/journal.hh"
 
 namespace eqx {
 
@@ -20,9 +17,12 @@ parseShardSpec(const std::string &spec, int &index, int &count)
     for (std::size_t i = 0; i < spec.size(); ++i)
         if (i != slash && (spec[i] < '0' || spec[i] > '9'))
             return false;
-    long i = std::strtol(spec.substr(0, slash).c_str(), nullptr, 10);
-    long n = std::strtol(spec.substr(slash + 1).c_str(), nullptr, 10);
-    if (n < 1 || i < 0 || i >= n)
+    // All digits, so strtoll can only overflow (LLONG_MAX), which the
+    // INT_MAX bound rejects along with every other value an int
+    // cannot hold.
+    long long i = std::strtoll(spec.substr(0, slash).c_str(), nullptr, 10);
+    long long n = std::strtoll(spec.substr(slash + 1).c_str(), nullptr, 10);
+    if (n < 1 || n > INT_MAX || i < 0 || i >= n)
         return false;
     index = static_cast<int>(i);
     count = static_cast<int>(n);
@@ -37,74 +37,6 @@ cellShard(std::uint64_t seed, const std::string &scheme,
         return 0;
     std::uint64_t h = deriveStreamSeed(seed, "shard", scheme, benchmark);
     return static_cast<int>(h % static_cast<std::uint64_t>(shard_count));
-}
-
-MergeResult
-mergeJournals(const std::vector<std::string> &inputs,
-              const std::string &out_path, bool allow_gaps)
-{
-    MergeResult res;
-    // index -> record, deduplicated by digest.
-    std::map<std::size_t, CellRecord> byIndex;
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t>
-        byDigest;
-
-    for (const auto &in : inputs) {
-        JournalLoad load = loadJournal(in);
-        if (!load.existed) {
-            res.error = "cannot read journal '" + in + "'";
-            return res;
-        }
-        ++res.inputs;
-        for (auto &rec : load.records) {
-            auto dkey = std::make_pair(rec.digest.hi, rec.digest.lo);
-            auto dit = byDigest.find(dkey);
-            if (dit != byDigest.end()) {
-                // Same cell journaled twice (overlapping shard runs,
-                // or the same journal listed twice): same simulation,
-                // but flag a digest that claims two matrix slots.
-                if (dit->second != rec.cell.index) {
-                    res.error = "digest " + rec.digest.hex() +
-                                " maps to indices " +
-                                std::to_string(dit->second) + " and " +
-                                std::to_string(rec.cell.index);
-                    return res;
-                }
-                continue;
-            }
-            auto iit = byIndex.find(rec.cell.index);
-            if (iit != byIndex.end()) {
-                // Two different simulations in the same slot: the
-                // inputs come from different matrices.
-                res.error = "index " + std::to_string(rec.cell.index) +
-                            " claimed by digests " +
-                            iit->second.digest.hex() + " and " +
-                            rec.digest.hex();
-                return res;
-            }
-            byDigest.emplace(dkey, rec.cell.index);
-            byIndex.emplace(rec.cell.index, std::move(rec));
-        }
-    }
-
-    if (!allow_gaps && !byIndex.empty()) {
-        // A complete shard set covers exactly 0..n-1.
-        std::size_t expect = 0;
-        for (const auto &[idx, rec] : byIndex) {
-            if (idx != expect) {
-                res.error = "missing cell index " + std::to_string(expect) +
-                            " (incomplete shard set?)";
-                return res;
-            }
-            ++expect;
-        }
-    }
-
-    JsonlWriter out(out_path);
-    for (const auto &[idx, rec] : byIndex)
-        out.write(cellJsonRecord(rec.cell));
-    res.cells = byIndex.size();
-    return res;
 }
 
 } // namespace eqx

@@ -1,14 +1,14 @@
 /**
  * @file
- * Deterministic matrix sharding and journal merging (DESIGN.md §13).
+ * Deterministic matrix sharding (DESIGN.md §13).
  *
  * A cell's shard is a pure function of (sweep seed, canonical scheme
  * name, benchmark name) through deriveStreamSeed — the same identity
  * hash the decorrelated-seed machinery uses — so shard i of N owns a
  * fixed, disjoint subset of the matrix no matter which machine runs
  * it, how many workers it uses, or in what order cells finish.
- * Indices stay canonical (unsharded), which is what lets mergeJournals
- * interleave shard outputs back into the exact single-process order.
+ * Shards that store into one cell cache (or whose caches are copied
+ * together) combine by rerunning the unsharded matrix against it.
  */
 
 #ifndef EQX_SWEEP_SHARD_HH
@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace eqx {
 
-/** Parse "i/N" (0 <= i < N, N >= 1); returns false on anything else. */
+/** Parse "i/N" (0 <= i < N <= INT_MAX); returns false on anything
+ *  else. */
 bool parseShardSpec(const std::string &spec, int &index, int &count);
 
 /**
@@ -30,36 +30,6 @@ bool parseShardSpec(const std::string &spec, int &index, int &count);
  */
 int cellShard(std::uint64_t seed, const std::string &scheme,
               const std::string &benchmark, int shard_count);
-
-/** Outcome of a journal merge. */
-struct MergeResult
-{
-    std::size_t cells = 0;   ///< records in the merged output
-    std::size_t inputs = 0;  ///< journal files read
-    std::string error;       ///< empty on success
-
-    bool ok() const { return error.empty(); }
-};
-
-/**
- * Merge shard journals into canonical sweep JSONL: read every input
- * tolerantly (loadJournal), deduplicate by digest, order by canonical
- * matrix index, and write one public JSONL record (cellJsonRecord
- * schema — the fabric-private fields are stripped) per cell to
- * @p out_path. The output is byte-identical to the jsonlPath stream a
- * single-process sweep of the same matrix writes, modulo wall_ms and
- * record order (the single-process stream is completion-ordered; the
- * merge is canonical-ordered — compare through `sweep merge` on both
- * sides, which canonicalizes order too).
- *
- * Errors (reported, nothing written): two records with the same
- * digest but different indices or result bytes, two different digests
- * claiming the same index, or a non-contiguous index set (a missing
- * shard) unless @p allow_gaps.
- */
-MergeResult mergeJournals(const std::vector<std::string> &inputs,
-                          const std::string &out_path,
-                          bool allow_gaps = false);
 
 } // namespace eqx
 

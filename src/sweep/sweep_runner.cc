@@ -5,20 +5,11 @@
 
 #include "common/logging.hh"
 #include "sweep/cell_cache.hh"
-#include "sweep/journal.hh"
 #include "sweep/shard.hh"
 
 namespace eqx {
 
 namespace {
-
-/** Where a finished cell's result came from. */
-enum CellSource : std::uint8_t
-{
-    kSimulated = 0,
-    kJournal,
-    kCache,
-};
 
 /**
  * State shared between the hooks. The hooks are installed into the
@@ -29,9 +20,8 @@ enum CellSource : std::uint8_t
 struct FabricState
 {
     std::vector<CellDigest> digests; ///< canonical index -> digest
-    std::vector<std::uint8_t> source; ///< canonical index -> CellSource
+    std::vector<std::uint8_t> cached; ///< canonical index -> cache-served
     CellCache *cache = nullptr;
-    SweepJournal *journal = nullptr;
 };
 
 } // namespace
@@ -47,15 +37,10 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
                "runSweep owns the sweep hooks; pass them unset");
 
     std::optional<CellCache> cache;
-    std::optional<SweepJournal> journal;
     auto state = std::make_shared<FabricState>();
     if (!opt.cacheDir.empty()) {
         cache.emplace(opt.cacheDir);
         state->cache = &*cache;
-    }
-    if (!opt.journalPath.empty()) {
-        journal.emplace(opt.journalPath, opt.resume);
-        state->journal = &*journal;
     }
 
     ExperimentConfig ec = config;
@@ -69,48 +54,23 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
         };
     }
 
-    if (state->cache || state->journal) {
+    if (state->cache) {
         ec.cellLookup = [state](CellResult &c) {
-            const CellDigest &d = state->digests[c.index];
             std::size_t idx = c.index;
-            if (state->journal) {
-                if (const CellRecord *rec = state->journal->find(d)) {
-                    c = rec->cell;
-                    c.index = idx;
-                    state->source[idx] = kJournal;
-                    return true;
-                }
-            }
-            if (state->cache) {
-                CellResult hit;
-                if (state->cache->lookup(d, hit)) {
-                    hit.index = idx;
-                    c = std::move(hit);
-                    state->source[idx] = kCache;
-                    return true;
-                }
-            }
-            return false;
+            CellResult hit;
+            if (!state->cache->lookup(state->digests[idx], hit))
+                return false;
+            hit.index = idx;
+            c = std::move(hit);
+            state->cached[idx] = 1;
+            return true;
         };
 
+        // Store every simulated success; a cache-served cell is
+        // already there.
         ec.cellDone = [state](const CellResult &c) {
-            if (c.failed)
-                return;
-            const CellDigest &d = state->digests[c.index];
-            std::uint8_t src = state->source[c.index];
-            // Journal every owned success — including cache-served
-            // cells, so each shard's journal alone is a complete
-            // record of its cells and merges need no cache access.
-            if (state->journal && src != kJournal) {
-                CellRecord rec;
-                rec.digest = d;
-                rec.cell = c;
-                state->journal->append(rec);
-            }
-            // Store back unless the cache itself served it; this also
-            // warms the cache from journal-recovered cells.
-            if (state->cache && src != kCache)
-                state->cache->store(d, c);
+            if (!c.failed && !state->cached[c.index])
+                state->cache->store(state->digests[c.index], c);
         };
     }
 
@@ -124,7 +84,7 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
     for (const auto &wp : ec.workloads)
         for (const auto &key : ec.schemes)
             state->digests.push_back(cellDigest(runner, key, wp));
-    state->source.assign(state->digests.size(), kSimulated);
+    state->cached.assign(state->digests.size(), 0);
 
     SweepOutcome out;
     out.totalCells = state->digests.size();
@@ -132,11 +92,10 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
     out.shardCells = out.cells.size();
 
     for (const auto &c : out.cells) {
-        switch (state->source[c.index]) {
-          case kJournal: ++out.journalHits; break;
-          case kCache:   ++out.cacheHits;  break;
-          default:       ++out.simulated;  break;
-        }
+        if (state->cached[c.index])
+            ++out.cacheHits;
+        else
+            ++out.simulated;
         if (c.failed)
             ++out.failed;
     }
@@ -147,8 +106,6 @@ runSweep(const ExperimentConfig &config, const SweepOptions &opt)
                   static_cast<double>(out.totalCells));
     out.stats.set("sweep.shard_cells",
                   static_cast<double>(out.shardCells));
-    out.stats.set("sweep.journal_hits",
-                  static_cast<double>(out.journalHits));
     out.stats.set("sweep.cache_hits",
                   static_cast<double>(out.cacheHits));
     out.stats.set("sweep.simulated", static_cast<double>(out.simulated));

@@ -1,15 +1,16 @@
 /**
  * @file
  * The sweep fabric front door (DESIGN.md §13): runs an experiment
- * matrix through the content-addressed cell cache, the write-ahead
- * journal, and the deterministic shard filter, by wiring the three
- * ExperimentConfig sweep hooks (cellFilter / cellLookup / cellDone).
+ * matrix through the content-addressed cell cache and the
+ * deterministic shard filter, by wiring the three ExperimentConfig
+ * sweep hooks (cellFilter / cellLookup / cellDone).
  *
- * Lookup order per cell: journal (this shard's own recovered work)
- * first, then the shared cache; a miss simulates on the JobPool as
- * usual. Every successful cell is journaled and stored back, so a
- * resumed or repeated sweep re-simulates nothing that already ran —
- * the second identical sweep is 100% cache-served.
+ * The cache is the one store of finished cells: a hit is served, a
+ * miss simulates on the JobPool as usual, and every successful cell
+ * is stored back. So a rerun after a crash simulates only the cells
+ * the first run did not store, the second identical sweep is 100%
+ * cache-served, and an unsharded run against the cache the shards
+ * stored into combines them.
  */
 
 #ifndef EQX_SWEEP_SWEEP_RUNNER_HH
@@ -26,23 +27,16 @@
 namespace eqx {
 
 /** How one sweep run uses the fabric. Default-constructed options
- *  (no cache, no journal, one shard) reduce runSweep to runMatrix. */
+ *  (no cache, one shard) reduce runSweep to runMatrix. */
 struct SweepOptions
 {
     /** Cell cache root ("" = no cache). */
     std::string cacheDir;
-    /** This shard's journal path ("" = no journal). */
-    std::string journalPath;
-    /** Recover an existing journal instead of truncating it. */
-    bool resume = false;
     /** This process owns cells with shard == shardIndex of shardCount. */
     int shardIndex = 0;
     int shardCount = 1;
 
-    bool enabled() const
-    {
-        return !cacheDir.empty() || !journalPath.empty() || shardCount > 1;
-    }
+    bool enabled() const { return !cacheDir.empty() || shardCount > 1; }
 };
 
 /** One cell's identity, as listed by the digest= dry run. */
@@ -63,7 +57,6 @@ struct SweepOutcome
 
     std::size_t totalCells = 0;  ///< unsharded matrix size
     std::size_t shardCells = 0;  ///< cells this shard owned
-    std::size_t journalHits = 0; ///< served from the recovered journal
     std::size_t cacheHits = 0;   ///< served from the cell cache
     std::size_t simulated = 0;   ///< actually run (includes failed)
     std::size_t failed = 0;      ///< permanently failed cells

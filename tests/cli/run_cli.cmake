@@ -1,18 +1,19 @@
 # Runs one command-line binary and checks how it ended:
 #
 #   cmake -DCLI=<binary> -DARGS="<k=v k=v ...>" -DSTATUS=<exit status>
-#         [-DEXPECT=<text>] [-DJSONL=<path> -DJSONL_EXPECT=<text>]
-#         -P run_cli.cmake
+#         [-DEXPECT=<text>] [-DJSONL=<path>[,<path>...]
+#         -DJSONL_EXPECT=<text> [-DJSONL_RECORDS=<n>]] -P run_cli.cmake
 #
 # The exit status must equal STATUS, the combined stdout+stderr must
 # contain EXPECT (a literal substring) and must not contain
-# "terminate called" (an uncaught exception). With JSONL, the file
-# must hold at least one record and every record must contain
-# JSONL_EXPECT.
+# "terminate called" (an uncaught exception). With JSONL, each file
+# must hold at least one record (exactly JSONL_RECORDS when given)
+# and every record must contain JSONL_EXPECT.
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if(DEFINED JSONL)
-    file(REMOVE "${JSONL}")
+    string(REPLACE "," ";" jsonl_files "${JSONL}")
+    file(REMOVE ${jsonl_files})
 endif()
 execute_process(COMMAND "${CLI}" ${args}
     RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -33,16 +34,21 @@ if(DEFINED EXPECT)
             "${CLI} ${ARGS}: output lacks '${EXPECT}'\n${output}")
     endif()
 endif()
-if(DEFINED JSONL)
-    file(STRINGS "${JSONL}" records)
+foreach(jsonl IN LISTS jsonl_files)
+    file(STRINGS "${jsonl}" records)
     if(NOT records)
-        message(FATAL_ERROR "${CLI} ${ARGS}: no records in ${JSONL}")
+        message(FATAL_ERROR "${CLI} ${ARGS}: no records in ${jsonl}")
+    endif()
+    list(LENGTH records count)
+    if(DEFINED JSONL_RECORDS AND NOT count EQUAL JSONL_RECORDS)
+        message(FATAL_ERROR
+            "${jsonl}: ${count} records, want ${JSONL_RECORDS}")
     endif()
     foreach(record IN LISTS records)
         string(FIND "${record}" "${JSONL_EXPECT}" at)
         if(at EQUAL -1)
             message(FATAL_ERROR
-                "${JSONL}: a record lacks '${JSONL_EXPECT}'\n${record}")
+                "${jsonl}: a record lacks '${JSONL_EXPECT}'\n${record}")
         endif()
     endforeach()
-endif()
+endforeach()

@@ -376,7 +376,6 @@ TEST(NiInjection, CoreQueueCapacityBounds)
 {
     Mesh2D topo(4, 4);
     NocParams params;
-    params.niInjBufPackets = 2;
     NetworkActivity act;
     LatencyStats lat;
     BasicNi ni(0, &topo, &params, &act, &lat);

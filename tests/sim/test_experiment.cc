@@ -240,6 +240,53 @@ TEST(Experiment, JsonlStreamsOneRecordPerCell)
     std::remove(path.c_str());
 }
 
+/** The file's bytes with every wall_ms value zeroed: wall time is
+ *  machine/load dependent and outside the byte-identity guarantee. */
+std::string
+jsonlModuloWall(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << path;
+    std::string out;
+    for (std::string line; std::getline(in, line);) {
+        std::size_t at = line.find("\"wall_ms\":");
+        EXPECT_NE(at, std::string::npos) << line;
+        if (at != std::string::npos) {
+            at += 10;
+            line.replace(at, line.find(',', at) - at, "0");
+        }
+        out += line + '\n';
+    }
+    return out;
+}
+
+// A pool finishes cells in whatever order its workers reach them;
+// the records still go out in canonical (workload-major,
+// scheme-minor) order, so the files match byte for byte.
+TEST(Experiment, JsonlIsCanonicalForAnyWorkerCount)
+{
+    std::string p1 = ::testing::TempDir() + "eqx_canon_w1.jsonl";
+    std::string p4 = ::testing::TempDir() + "eqx_canon_w4.jsonl";
+    ExperimentConfig ec = smallMatrix();
+    ec.workers = 1;
+    ec.jsonlPath = p1;
+    auto cells = ExperimentRunner(ec).runMatrix();
+    ec.workers = 4;
+    ec.jsonlPath = p4;
+    ExperimentRunner(ec).runMatrix();
+
+    std::string serial = jsonlModuloWall(p1);
+    std::string expect;
+    for (CellResult c : cells) {
+        c.wallMs = 0;
+        expect += cellJsonRecord(c) + '\n';
+    }
+    EXPECT_EQ(serial, expect);
+    EXPECT_EQ(jsonlModuloWall(p4), serial);
+    std::remove(p1.c_str());
+    std::remove(p4.c_str());
+}
+
 TEST(Experiment, JsonlCarriesMetricsWhenEnabled)
 {
     std::string path = ::testing::TempDir() + "eqx_metrics.jsonl";

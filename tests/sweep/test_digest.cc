@@ -415,6 +415,14 @@ TEST(Shard, ParseSpec)
     EXPECT_FALSE(parseShardSpec("1/0", i, n));
     EXPECT_FALSE(parseShardSpec("-1/4", i, n));
     EXPECT_FALSE(parseShardSpec("a/b", i, n));
+    // Values past INT_MAX are refused, not narrowed: 2^32 would wrap
+    // to a shard count of 0, 2^32+1 of 2^32+2 to shard 1 of 2.
+    EXPECT_FALSE(parseShardSpec("0/4294967296", i, n));
+    EXPECT_FALSE(parseShardSpec("4294967297/4294967298", i, n));
+    EXPECT_FALSE(parseShardSpec("0/99999999999999999999", i, n));
+    EXPECT_TRUE(parseShardSpec("2147483646/2147483647", i, n));
+    EXPECT_EQ(i, 2147483646);
+    EXPECT_EQ(n, 2147483647);
 }
 
 TEST(Shard, DeterministicDisjointPartition)

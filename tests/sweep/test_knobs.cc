@@ -58,8 +58,6 @@ TEST(Knobs, DefaultsLeaveConfigsUntouched)
     const SweepOptions ref_so;
     EXPECT_FALSE(so.enabled());
     EXPECT_EQ(so.cacheDir, ref_so.cacheDir);
-    EXPECT_EQ(so.journalPath, ref_so.journalPath);
-    EXPECT_EQ(so.resume, ref_so.resume);
     EXPECT_EQ(so.shardIndex, ref_so.shardIndex);
     EXPECT_EQ(so.shardCount, ref_so.shardCount);
 }
@@ -91,15 +89,22 @@ TEST(Knobs, RunnerAndTrafficKnobsApply)
     EXPECT_EQ(ec.traffic.stormRatePerK, 16.0);
 }
 
-TEST(Knobs, ResumeWithoutJournalIsFatal)
+TEST(Knobs, ShardKnobParsesAndJournalKnobsAreUnknown)
 {
-    EXPECT_THROW(parseSweepKnobs(knobs({"resume=1"})), FatalError);
-    SweepOptions so =
-        parseSweepKnobs(knobs({"resume=1", "journal=j.jnl", "shard=1/4"}));
-    EXPECT_TRUE(so.resume);
+    SweepOptions so = parseSweepKnobs(knobs({"shard=1/4"}));
     EXPECT_EQ(so.shardIndex, 1);
     EXPECT_EQ(so.shardCount, 4);
     EXPECT_THROW(parseSweepKnobs(knobs({"shard=4/4"})), FatalError);
+    EXPECT_THROW(parseSweepKnobs(knobs({"shard=0/4294967296"})),
+                 FatalError);
+
+    // The cell cache is the one store of finished cells: the retired
+    // journal knobs are unknown, so rejectUnused refuses them.
+    for (const char *retired : {"journal=j.jnl", "resume=1", "merge=a,b"}) {
+        Config cfg = knobs({retired});
+        parseSweepKnobs(cfg);
+        EXPECT_THROW(cfg.rejectUnused(), FatalError) << retired;
+    }
 }
 
 TEST(Knobs, SchemeAliasesComeBackCanonical)

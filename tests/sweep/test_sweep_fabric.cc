@@ -2,14 +2,12 @@
  * @file
  * Fabric end-to-end tests (DESIGN.md §13): the cache acceptance
  * criterion (second identical sweep simulates nothing and emits
- * byte-identical JSONL modulo wall_ms), crash-resume from journals
- * truncated at arbitrary byte offsets — including mid-record — and
- * shard split + merge reproducing the single-process output.
+ * byte-identical JSONL modulo wall_ms), a rerun after a crash
+ * simulating only the cells the cache lacks, and shards stored into
+ * one cache reproducing the single-process output.
  *
- * All byte-compares run with workers=1: jsonlPath streams in
- * completion order, and only the sequential pool completes in
- * canonical order. (merge= output is always canonical — it sorts by
- * cell index — so sharded runs compare through the merge tool.)
+ * JSONL is written in canonical cell order for any worker count, so
+ * every run's file compares directly, sharded runs included.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +21,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
-#include "sweep/journal.hh"
+#include "sweep/cell_cache.hh"
 #include "sweep/shard.hh"
 #include "sweep/sweep_runner.hh"
 #include "workloads/profiles.hh"
@@ -131,156 +129,103 @@ TEST(Fabric, RejectsPresetHooks)
     EXPECT_THROW(runSweep(ec, SweepOptions{}), std::logic_error);
 }
 
-TEST(Fabric, CrashResumeFromArbitraryTruncationOffsets)
+TEST(Fabric, RerunAfterCrashSimulatesOnlyMissingCells)
 {
     std::string dir = makeTempDir();
-
-    // A complete run whose journal is the crash-test corpus, and
-    // whose merge output is the golden answer.
     SweepOptions opt;
-    opt.journalPath = dir + "/full.jnl";
-    SweepOutcome full = runSweep(smallMatrix(), opt);
-    ASSERT_EQ(full.cells.size(), 4u);
-    ASSERT_EQ(full.failed, 0u);
+    opt.cacheDir = dir + "/cache";
 
-    MergeResult golden =
-        mergeJournals({dir + "/full.jnl"}, dir + "/golden.jsonl");
-    ASSERT_TRUE(golden.ok()) << golden.error;
-    std::string goldenBytes = normalizeWall(readFile(dir + "/golden.jsonl"));
+    ExperimentConfig ec = smallMatrix();
+    ec.jsonlPath = dir + "/full.jsonl";
+    SweepOutcome full = runSweep(ec, opt);
+    ASSERT_EQ(full.stored, 4u);
 
-    std::string journal = readFile(dir + "/full.jnl");
-    ASSERT_GT(journal.size(), 64u);
-
-    // Crash points: almost-nothing, mid-record (one third / one half
-    // of the file lands inside a record), and a torn final record.
-    std::vector<std::size_t> offsets = {
-        17, journal.size() / 3, journal.size() / 2, journal.size() - 3};
-    for (std::size_t cut : offsets) {
-        std::string jnl = dir + "/crash-" + std::to_string(cut) + ".jnl";
-        writeFile(jnl, journal.substr(0, cut));
-
-        std::size_t intact = loadJournal(jnl).records.size();
-        ASSERT_LT(intact, 4u) << "cut " << cut
-                              << " left the journal complete";
-
-        SweepOptions ropt;
-        ropt.journalPath = jnl;
-        ropt.resume = true;
-        SweepOutcome resumed = runSweep(smallMatrix(), ropt);
-        ASSERT_EQ(resumed.cells.size(), 4u) << "cut " << cut;
-        EXPECT_EQ(resumed.journalHits, intact) << "cut " << cut;
-        EXPECT_EQ(resumed.simulated, 4u - intact) << "cut " << cut;
-
-        MergeResult merged =
-            mergeJournals({jnl}, dir + "/resumed.jsonl");
-        ASSERT_TRUE(merged.ok()) << merged.error;
-        EXPECT_EQ(normalizeWall(readFile(dir + "/resumed.jsonl")),
-                  goldenBytes)
-            << "cut " << cut;
+    // The crash: two cells never reached the cache, and one of them
+    // left a torn temp file behind. Lookups address only
+    // <digest>.json, so the temp file is never read.
+    CellCache cache(opt.cacheDir);
+    auto ids = listCellDigests(ec);
+    ASSERT_EQ(ids.size(), 4u);
+    for (std::size_t i : {1u, 2u}) {
+        std::string path = cache.pathFor(ids[i].digest);
+        std::string bytes = readFile(path);
+        ASSERT_EQ(std::remove(path.c_str()), 0) << path;
+        if (i == 1)
+            writeFile(path + ".tmp.4242.0",
+                      bytes.substr(0, bytes.size() / 2));
     }
+
+    ec.jsonlPath = dir + "/rerun.jsonl";
+    ec.workers = 2;
+    SweepOutcome rerun = runSweep(ec, opt);
+    ASSERT_EQ(rerun.cells.size(), 4u);
+    EXPECT_EQ(rerun.simulated, 2u);
+    EXPECT_EQ(rerun.cacheHits, 2u);
+    EXPECT_EQ(rerun.stored, 2u);
+    EXPECT_EQ(rerun.stats.get("cache.corrupt"), 0.0);
+    EXPECT_EQ(normalizeWall(readFile(dir + "/full.jsonl")),
+              normalizeWall(readFile(dir + "/rerun.jsonl")));
 }
 
-TEST(Fabric, LoadJournalToleratesTearingCorruptionAndDuplicates)
-{
-    std::string dir = makeTempDir();
-    SweepOptions opt;
-    opt.journalPath = dir + "/j.jnl";
-    SweepOutcome out = runSweep(smallMatrix(), opt);
-    ASSERT_EQ(out.cells.size(), 4u);
-    std::string bytes = readFile(dir + "/j.jnl");
-
-    { // Absent file: valid empty load.
-        JournalLoad l = loadJournal(dir + "/nope.jnl");
-        EXPECT_FALSE(l.existed);
-        EXPECT_TRUE(l.records.empty());
-    }
-    { // Torn tail: the partial final line is excluded, cleanly.
-        writeFile(dir + "/torn.jnl", bytes.substr(0, bytes.size() - 5));
-        JournalLoad l = loadJournal(dir + "/torn.jnl");
-        EXPECT_TRUE(l.existed);
-        EXPECT_EQ(l.records.size(), 3u);
-        EXPECT_FALSE(l.needsRewrite);
-        // validBytes ends exactly after the last intact record.
-        EXPECT_EQ(bytes.compare(0, l.validBytes,
-                                readFile(dir + "/torn.jnl"), 0,
-                                l.validBytes),
-                  0);
-    }
-    { // Interior corruption: a complete line that does not parse.
-        std::size_t firstNl = bytes.find('\n');
-        std::string mangled = bytes;
-        mangled.replace(firstNl / 2, 8, "XXXXXXXX");
-        writeFile(dir + "/rot.jnl", mangled);
-        JournalLoad l = loadJournal(dir + "/rot.jnl");
-        EXPECT_EQ(l.records.size(), 3u);
-        EXPECT_TRUE(l.needsRewrite);
-
-        // Resume heals it: the journal is rewritten from the intact
-        // records and the missing cell is re-simulated.
-        SweepOptions ropt;
-        ropt.journalPath = dir + "/rot.jnl";
-        ropt.resume = true;
-        SweepOutcome resumed = runSweep(smallMatrix(), ropt);
-        EXPECT_EQ(resumed.journalHits, 3u);
-        EXPECT_EQ(resumed.simulated, 1u);
-        EXPECT_EQ(loadJournal(dir + "/rot.jnl").records.size(), 4u);
-    }
-    { // Duplicate digests: first occurrence wins, one record kept.
-        std::size_t firstNl = bytes.find('\n');
-        std::string doubled =
-            bytes.substr(0, firstNl + 1) + bytes;
-        writeFile(dir + "/dup.jnl", doubled);
-        JournalLoad l = loadJournal(dir + "/dup.jnl");
-        EXPECT_EQ(l.records.size(), 4u);
-        EXPECT_FALSE(l.needsRewrite);
-    }
-}
-
-TEST(Fabric, ShardSplitMergesToSingleProcessBytes)
+TEST(Fabric, ShardsIntoOneCacheReproduceUnshardedJsonl)
 {
     std::string dir = makeTempDir();
 
-    // Unsharded golden run.
-    SweepOptions opt;
-    opt.journalPath = dir + "/all.jnl";
-    SweepOutcome all = runSweep(smallMatrix(), opt);
+    // Unsharded, uncached golden run.
+    ExperimentConfig ec = smallMatrix();
+    ec.jsonlPath = dir + "/all.jsonl";
+    SweepOutcome all = runSweep(ec, SweepOptions{});
     ASSERT_EQ(all.cells.size(), 4u);
-    MergeResult golden = mergeJournals({dir + "/all.jnl"}, dir + "/a.jsonl");
-    ASSERT_TRUE(golden.ok()) << golden.error;
+    std::string golden = normalizeWall(readFile(dir + "/all.jsonl"));
 
-    // The same matrix split across two shards.
-    std::size_t shardTotal = 0;
+    // The same matrix split across two shards sharing one cache. Each
+    // shard's JSONL holds its own cells in canonical order.
+    std::size_t shardTotal = 0, shardRecords = 0;
     for (int i = 0; i < 2; ++i) {
         SweepOptions sopt;
-        sopt.journalPath = dir + "/s" + std::to_string(i) + ".jnl";
+        sopt.cacheDir = dir + "/cache";
         sopt.shardIndex = i;
         sopt.shardCount = 2;
-        SweepOutcome out = runSweep(smallMatrix(), sopt);
+        ec.jsonlPath = dir + "/s" + std::to_string(i) + ".jsonl";
+        SweepOutcome out = runSweep(ec, sopt);
         EXPECT_EQ(out.totalCells, 4u);
         EXPECT_EQ(out.cells.size(), out.shardCells);
+        EXPECT_EQ(out.simulated, out.shardCells);
         shardTotal += out.shardCells;
+        std::istringstream lines(normalizeWall(readFile(ec.jsonlPath)));
+        std::size_t next = 0;
+        for (std::string line; std::getline(lines, line); ++shardRecords) {
+            std::size_t at = golden.find(line + '\n', next);
+            ASSERT_NE(at, std::string::npos) << line;
+            next = at + line.size();
+        }
     }
     EXPECT_EQ(shardTotal, 4u); // disjoint and covering
+    EXPECT_EQ(shardRecords, 4u);
 
-    MergeResult merged = mergeJournals(
-        {dir + "/s0.jnl", dir + "/s1.jnl"}, dir + "/b.jsonl");
-    ASSERT_TRUE(merged.ok()) << merged.error;
-    EXPECT_EQ(merged.cells, 4u);
+    // Combining: the unsharded matrix against that cache simulates
+    // nothing and writes the single-process bytes.
+    SweepOptions copt;
+    copt.cacheDir = dir + "/cache";
+    ec.jsonlPath = dir + "/combined.jsonl";
+    ec.workers = 4;
+    SweepOutcome combined = runSweep(ec, copt);
+    EXPECT_EQ(combined.simulated, 0u);
+    EXPECT_EQ(combined.cacheHits, 4u);
+    EXPECT_EQ(normalizeWall(readFile(ec.jsonlPath)), golden);
 
-    EXPECT_EQ(normalizeWall(readFile(dir + "/a.jsonl")),
-              normalizeWall(readFile(dir + "/b.jsonl")));
-
-    // Merge diagnostics: a missing input and an index gap are errors;
-    // gaps are accepted only when asked for.
-    EXPECT_FALSE(
-        mergeJournals({dir + "/missing.jnl"}, dir + "/x.jsonl").ok());
-    MergeResult gap = mergeJournals({dir + "/s0.jnl"}, dir + "/g.jsonl");
-    if (loadJournal(dir + "/s0.jnl").records.size() < 4u) {
-        EXPECT_FALSE(gap.ok());
-        EXPECT_TRUE(
-            mergeJournals({dir + "/s0.jnl"}, dir + "/g2.jsonl", true)
-                .ok());
-    }
+    // A missing shard is not an error: its cells are simulated.
+    SweepOptions half;
+    half.cacheDir = dir + "/half";
+    half.shardCount = 2;
+    ec.jsonlPath.clear();
+    SweepOutcome s0 = runSweep(ec, half);
+    half.shardCount = 1;
+    ec.jsonlPath = dir + "/gap.jsonl";
+    SweepOutcome gap = runSweep(ec, half);
+    EXPECT_EQ(gap.cacheHits, s0.shardCells);
+    EXPECT_EQ(gap.simulated, 4u - s0.shardCells);
+    EXPECT_EQ(normalizeWall(readFile(ec.jsonlPath)), golden);
 }
 
 TEST(Fabric, DigestListingMatchesMatrixAndShards)
