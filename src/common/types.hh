@@ -21,10 +21,8 @@ namespace eqx {
 using Cycle = std::uint64_t;
 
 /**
- * "No scheduled work, ever" sentinel for next-due-cycle queries
- * (System::maybeSkip, DESIGN.md §14): a component returning this is
- * woken only by another component's activity, never by the passage
- * of time.
+ * "Never" sentinel cycle: the parkedAt_ mark of a router or NI that is
+ * not parked (DESIGN.md §10).
  */
 constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
 

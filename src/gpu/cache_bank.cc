@@ -1,7 +1,5 @@
 #include "gpu/cache_bank.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace eqx {
@@ -249,23 +247,6 @@ CacheBank::drained() const
            replyQueue_.empty() && writebackQueue_.empty() &&
            missTable_.empty() && invQueue_.empty() &&
            hbm_.outstanding() == 0;
-}
-
-Cycle
-CacheBank::nextDueCycle(Cycle now) const
-{
-    // Queued packets retry every cycle (their stalls clear on events
-    // inside other components: NoC credits, MSHR frees, HBM queue
-    // space), so any backlog pins the bank to the next cycle.
-    if (!inputQueue_.empty() || !replyQueue_.empty() ||
-        !writebackQueue_.empty() || !invQueue_.empty())
-        return now + 1;
-    Cycle due = hbm_.nextDueCycle(now);
-    if (!hitPipeline_.empty())
-        due = std::min(due, std::max(hitPipeline_.front().dueAt, now + 1));
-    // missTable_ entries always have their fetch inside hbm_, so the
-    // stack's due cycle covers them.
-    return due;
 }
 
 } // namespace eqx

@@ -87,15 +87,6 @@ class CacheBank : public PacketSink
     /** No queued work anywhere in the bank. */
     bool drained() const;
 
-    /**
-     * Earliest core cycle after @p now at which this bank does real
-     * work (global time wheel, DESIGN.md §14). Queued packets and
-     * writebacks need a tick every cycle; an otherwise-empty bank is
-     * due at its first L2 hit-pipeline completion or whenever its HBM
-     * stack is. kNeverCycle when drained (woken only by accept()).
-     */
-    Cycle nextDueCycle(Cycle now) const;
-
     const TagArray &l2() const { return l2_; }
     const HbmStack &hbm() const { return hbm_; }
     const StatGroup &stats() const { return counters_.view(); }

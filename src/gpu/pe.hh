@@ -83,29 +83,6 @@ class ProcessingElement : public PacketSink
     /** Stream exhausted and every outstanding access returned. */
     bool done() const;
 
-    /**
-     * Earliest core cycle after @p now at which this PE does real
-     * work (global time wheel, DESIGN.md §14): the next cycle while
-     * it still has instructions to issue or retry; kNeverCycle once
-     * the stream is exhausted or the outstanding window is full —
-     * tick() is then a guaranteed no-op until a reply arrives, and a
-     * reply in flight means the network reports work of its own.
-     * (The stall_window stat consequently counts only *stepped*
-     * stalled cycles; it is not part of the exported determinism
-     * contract.)
-     */
-    Cycle
-    nextDueCycle(Cycle now) const
-    {
-        if (!pendingAcks_.empty())
-            return now + 1; // an ack retry never depends on a reply
-        if (outstanding_ >= params_.maxOutstanding)
-            return kNeverCycle;
-        if (trace_->remaining() != 0 || havePending_)
-            return now + 1;
-        return kNeverCycle;
-    }
-
     std::uint64_t instsIssued() const { return instsIssued_; }
     int outstanding() const { return outstanding_; }
     const TagArray &l1() const { return l1_; }

@@ -1,7 +1,7 @@
 #include "memory/hbm.hh"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -131,29 +131,6 @@ HbmStack::issueChannel(Channel &ch, Cycle now)
     bank.readyAt = finish;
     ch.busFreeAt = now + static_cast<Cycle>(t.tBL);
     inflight_.push(Inflight{finish, req});
-}
-
-Cycle
-HbmStack::nextDueCycle(Cycle now) const
-{
-    Cycle due = kNeverCycle;
-    if (!inflight_.empty())
-        due = std::max(inflight_.top().finishAt, now + 1);
-    for (std::uint64_t m = backlog_; m != 0; m &= m - 1) {
-        const Channel &ch =
-            channels_[static_cast<std::size_t>(std::countr_zero(m))];
-        // FR-FCFS can issue once the bus is free and *some* queued
-        // request's bank is ready; which one it picks doesn't change
-        // the earliest cycle anything can happen.
-        Cycle bank_ready = kNeverCycle;
-        for (const auto &q : ch.queue)
-            bank_ready = std::min(
-                bank_ready,
-                ch.banks[static_cast<std::size_t>(q.bank)].readyAt);
-        Cycle issue = std::max({now + 1, ch.busFreeAt, bank_ready});
-        due = std::min(due, issue);
-    }
-    return due;
 }
 
 void

@@ -69,15 +69,6 @@ class HbmStack
     /** Advance one core cycle: issue per channel, fire completions. */
     void tick(Cycle now);
 
-    /**
-     * Earliest core cycle after @p now at which this stack does real
-     * work — the global time wheel query (DESIGN.md §14): the next
-     * in-flight completion, or for each backlogged channel the first
-     * cycle its bus is free and some queued request's bank is ready.
-     * kNeverCycle when fully idle (woken only by enqueue()).
-     */
-    Cycle nextDueCycle(Cycle now) const;
-
     /** Requests accepted but not yet completed. */
     int outstanding() const { return outstanding_; }
 

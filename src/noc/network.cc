@@ -264,61 +264,6 @@ Network::coreTick(Cycle core_cycle)
         internalTick();
 }
 
-Cycle
-Network::nextDueCycle(Cycle core_now) const
-{
-    eqx_assert(core_now == coreCycle_,
-               "nextDueCycle: network at core cycle ", coreCycle_,
-               " queried at ", core_now);
-    // Fault-armed networks tick unconditionally: the fault plane runs
-    // timers (stall windows, retransmission) every internal tick.
-    if (plane_)
-        return core_now + 1;
-    int te = params_.ticksEvenCycle, to = params_.ticksOddCycle;
-    if (te + to == 0)
-        return kNeverCycle; // clockless network never ticks
-    // Parked components hold work a wake event will resume.
-    if (parkedRouters_ != 0 || parkedNis_ != 0 || activeRouters_.any() ||
-        activeNis_.any())
-        return core_now + 1;
-    // Idle sets: the only future work is in-flight channel arrivals
-    // sitting in the pending wheel. Every buffered event is due
-    // within one wheel revolution of the current tick.
-    Cycle due_tick = kNeverCycle;
-    for (std::size_t s = 0; s < pendingWheel_.size(); ++s) {
-        if (pendingWheel_[s].empty())
-            continue;
-        Cycle d = tick_ +
-                  ((static_cast<Cycle>(s) - tick_ - 1) & wheelMask_) + 1;
-        due_tick = std::min(due_tick, d);
-    }
-    if (due_tick == kNeverCycle)
-        return kNeverCycle;
-    // Internal tick -> core cycle: walk the even/odd tick schedule
-    // until the cumulative tick count reaches the due tick. Bounded by
-    // one wheel revolution of ticks.
-    Cycle c = core_now, t = tick_;
-    while (t < due_tick)
-        t += (++c % 2 == 0) ? static_cast<Cycle>(te)
-                            : static_cast<Cycle>(to);
-    return c;
-}
-
-void
-Network::skipTo(Cycle core_target)
-{
-    eqx_assert(core_target >= coreCycle_, "skipTo going backwards");
-    eqx_assert(!plane_, "skipTo on a fault-armed network");
-    eqx_assert(nextDueCycle(coreCycle_) > core_target,
-               "skipTo over live work");
-    // Even/odd core cycles in (coreCycle_, core_target].
-    Cycle evens = core_target / 2 - coreCycle_ / 2;
-    Cycle odds = (core_target - coreCycle_) - evens;
-    tick_ += evens * static_cast<Cycle>(params_.ticksEvenCycle) +
-             odds * static_cast<Cycle>(params_.ticksOddCycle);
-    coreCycle_ = core_target;
-}
-
 void
 Network::internalTick()
 {

@@ -82,25 +82,6 @@ class Network : private FaultPlaneHost
     /** Advance by one core clock cycle (runs 1+ internal ticks). */
     void coreTick(Cycle core_cycle);
 
-    /**
-     * Earliest core cycle after @p core_now at which this network
-     * does real work — the global time wheel query (DESIGN.md §14).
-     * core_now + 1 while any router or NI is on an active set or
-     * parked (or when fault-armed, which ticks unconditionally);
-     * otherwise the core cycle of the earliest in-flight channel
-     * arrival in the pending wheel; kNeverCycle when fully drained.
-     */
-    Cycle nextDueCycle(Cycle core_now) const;
-
-    /**
-     * Fast-forward over core cycles (coreCycle_, @p core_target] that
-     * nextDueCycle() proved dead: advances the internal tick counter
-     * arithmetically by the even/odd tick schedule without running
-     * the tick loop. Only valid while the network is idle with no
-     * arrival due on or before the target.
-     */
-    void skipTo(Cycle core_target);
-
     /** Endpoint API. */
     bool inject(NodeId node, const PacketPtr &pkt);
     bool canInject(NodeId node) const;

@@ -63,28 +63,12 @@ allSchemeNames()
     return SchemeRegistry::instance().names();
 }
 
-// ---- legacy sim/scheme.hh helpers, now registry lookups ----
+// ---- legacy sim/scheme.hh helper, now a registry lookup ----
 
 const char *
 schemeName(Scheme s)
 {
     return SchemeRegistry::instance().byEnum(s).name();
-}
-
-std::vector<Scheme>
-allSchemes()
-{
-    std::vector<Scheme> out;
-    for (const SchemeModel *m : SchemeRegistry::instance().models())
-        if (auto e = m->legacyEnum())
-            out.push_back(*e);
-    return out;
-}
-
-bool
-isSingleNetwork(Scheme s)
-{
-    return SchemeRegistry::instance().byEnum(s).singleNetwork();
 }
 
 } // namespace eqx

@@ -23,10 +23,6 @@ class ClockedLayer
 {
   public:
     virtual void tick(Cycle cycle) = 0;
-    /** Earliest cycle after @p now with work, or kNeverCycle (§14). */
-    virtual Cycle nextDueCycle(Cycle now) const = 0;
-    /** Fast-forward over cycles nextDueCycle() proved dead. */
-    virtual void skipTo(Cycle) {}
     virtual bool drained() const = 0;
     virtual void resetStats() {}
     /** Replay parked components' skipped ticks into counters (§10). */
@@ -51,17 +47,6 @@ class LayerOf : public ClockedLayer
     }
 
     void tick(Cycle cycle) override { each(Tick, cycle); }
-
-    /** The earliest component's; stops at the first due next cycle. */
-    Cycle
-    nextDueCycle(Cycle now) const override
-    {
-        Cycle next = kNeverCycle;
-        for (auto it = all_.begin(); it != all_.end() && next != now + 1;
-             ++it)
-            next = std::min(next, (*it)->nextDueCycle(now));
-        return next;
-    }
 
     bool
     drained() const override
@@ -109,7 +94,6 @@ class NetworkGroup final
     bool overlaps() const { return helper_ != nullptr; }
 
     void tick(Cycle cycle) override;
-    void skipTo(Cycle target) override { each(&Network::skipTo, target); }
     void resetStats() override { each(&Network::resetStats); }
     void settleParkedStats() override { each(&Network::settleParkedStats); }
 
@@ -135,7 +119,7 @@ class PeLayer final
     ActiveSet active_;
     /** steps_ at the tick that parked each PE; 0 while active. */
     std::vector<std::uint64_t> parkedAt_;
-    /** Ticks so far: a PE counts stalls on stepped cycles only. */
+    /** Ticks so far, one per core cycle. */
     std::uint64_t steps_ = 0;
 };
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/cancel.hh"
 #include "core/design_flow.hh"
@@ -33,13 +32,9 @@ enum class Scheme : std::uint8_t
     EquiNox,         ///< the paper's proposal
 };
 
-// Legacy scheme queries, answered by the SchemeRegistry
+// Legacy scheme query, answered by the SchemeRegistry
 // (src/schemes): every enum value maps to a registered SchemeModel.
 const char *schemeName(Scheme s);
-std::vector<Scheme> allSchemes();
-
-/** True for schemes with one shared physical network. */
-bool isSingleNetwork(Scheme s);
 
 // Fixed per-scheme parameters of the paper's configuration.
 constexpr int kMultiPortEjPorts = 2; ///< MultiPort CB ejection ports

@@ -418,43 +418,6 @@ System::networkGroupsDisjoint() const
     return true;
 }
 
-Cycle
-System::maybeSkip()
-{
-    if (cycle_ + 1 >= cfg_.maxCycles)
-        return 0;
-
-    // Every layer reports its next due cycle; the earliest wins, so
-    // the walk may stop at the first layer due next cycle. A
-    // fault-armed network always reports the next cycle (its plane
-    // runs timers every tick), so such a system never skips.
-    Cycle next = kNeverCycle;
-    for (const ClockedLayer *layer : layers_) {
-        next = std::min(next, layer->nextDueCycle(cycle_));
-        if (next == cycle_ + 1)
-            return 0;
-    }
-    if (next == kNeverCycle)
-        return 0; // drained: run() exits
-    eqx_assert(next > cycle_, "wake-up at ", next, " not after cycle ",
-               cycle_);
-    // Land one cycle short so the due cycle itself runs a full
-    // step(), clamped so the warmup-reset and maxCycles boundaries
-    // are still crossed by explicit steps.
-    Cycle target = next - 1;
-    if (cfg_.warmupCycles > cycle_)
-        target = std::min(target, cfg_.warmupCycles - 1);
-    target = std::min(target, cfg_.maxCycles - 1);
-    if (target <= cycle_)
-        return 0;
-    for (ClockedLayer *layer : layers_)
-        layer->skipTo(target);
-    Cycle skipped = target - cycle_;
-    cycle_ = target;
-    cyclesSkipped_ += skipped;
-    return skipped;
-}
-
 void
 System::resetStats()
 {
@@ -611,10 +574,8 @@ System::settleParkedStats()
 RunResult
 System::run()
 {
-    while (!finished() && !cancelled_ && cycle_ < cfg_.maxCycles) {
+    while (!finished() && !cancelled_ && cycle_ < cfg_.maxCycles)
         step();
-        maybeSkip();
-    }
     settleParkedStats();
     RunResult out;
     out.completed = finished();

@@ -119,9 +119,11 @@ class System
     System &operator=(const System &) = delete;
 
     /**
-     * Execute the workload to completion (or maxCycles). Settles the
-     * stall counters of parked PEs and NIs first, so every counter read
-     * after run() is exact.
+     * Execute the workload to completion (or maxCycles), one step() per
+     * core cycle. Settles the stall counters of parked PEs and NIs
+     * first, so every counter read after run() is exact, and a caller
+     * that calls step() until finished() and then run() to collect
+     * gets the same RunResult.
      */
     RunResult run();
 
@@ -130,20 +132,10 @@ class System
     bool finished() const;
     Cycle now() const { return cycle_; }
 
-    /**
-     * Global time wheel (DESIGN.md §14): every subsystem reports
-     * its next due cycle; if the minimum is beyond the next
-     * cycle, fast-forward the system over the dead gap (networks
-     * advance their internal tick counters arithmetically). Returns
-     * the number of cycles skipped (0 when any component has
-     * immediate work). run() calls this after every step. Skipped
-     * cycles are provably no-ops, so a driver that calls step() until
-     * finished() and then run() to collect gets the same RunResult.
-     */
-    Cycle maybeSkip();
-
-    /** Core cycles fast-forwarded by maybeSkip() so far. */
-    Cycle cyclesSkipped() const { return cyclesSkipped_; }
+    /** A no-op that returns 0. It exists only because the frozen
+     *  e2e_bench program calls it; run() steps every cycle and the
+     *  active sets carry idleness (DESIGN.md §10, §14). */
+    Cycle maybeSkip() { return 0; }
 
     /**
      * Reset every NoC measurement accumulator (propagates through the
@@ -214,8 +206,8 @@ class System
     CacheBankLayer cbs_;
     PeLayer pes_;
     StormLayer storms_;
-    /** What step(), maybeSkip(), finished(), resetStats() and
-     *  settleParkedStats() walk. */
+    /** What step(), finished(), resetStats() and settleParkedStats()
+     *  walk. */
     const std::array<ClockedLayer *, 4> layers_{&nets_, &cbs_, &pes_,
                                                 &storms_};
     std::vector<std::unique_ptr<PacketInjector>> injectors_;
@@ -231,7 +223,6 @@ class System
 
     Cycle cycle_ = 0;
     bool cancelled_ = false;
-    Cycle cyclesSkipped_ = 0;
 };
 
 } // namespace eqx

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -21,6 +22,28 @@ intAtLeast(const Config &cfg, const char *key, long fallback, long min)
     if (v < min)
         eqx_fatal("knob ", key, "=", v, " is out of range (want >= ",
                   min, ")");
+    return v;
+}
+
+/** An int-typed knob that must be at least @p min; a value past
+ *  INT_MAX would narrow to anything, so it is out of range too. */
+int
+intFieldAtLeast(const Config &cfg, const char *key, int fallback, int min)
+{
+    long v = intAtLeast(cfg, key, fallback, min);
+    if (v > std::numeric_limits<int>::max())
+        eqx_fatal("knob ", key, "=", v, " is out of range (want <= ",
+                  std::numeric_limits<int>::max(), ")");
+    return static_cast<int>(v);
+}
+
+/** A real knob that must lie in [0, 1]; NaN fails the test too. */
+double
+fractionKnob(const Config &cfg, const char *key, double fallback)
+{
+    double v = cfg.getDouble(key, fallback);
+    if (!(v >= 0 && v <= 1))
+        eqx_fatal("knob ", key, "=", v, " is out of range (want [0, 1])");
     return v;
 }
 
@@ -72,19 +95,21 @@ applyTrafficKnobs(TrafficConfig &tc, const Config &cfg)
         tc.model = TrafficRegistry::instance().byName(model).name();
     tc.trace = cfg.getString("trace", tc.trace);
     tc.stormRatePerK = cfg.getDouble("storm_rate", tc.stormRatePerK);
-    tc.stormHorizon = static_cast<std::uint64_t>(cfg.getInt(
-        "storm_horizon", static_cast<long>(tc.stormHorizon)));
+    if (!(std::isfinite(tc.stormRatePerK) && tc.stormRatePerK > 0))
+        eqx_fatal("knob storm_rate=", tc.stormRatePerK,
+                  " is out of range (want a finite value > 0)");
+    tc.stormHorizon = static_cast<std::uint64_t>(intAtLeast(
+        cfg, "storm_horizon", static_cast<long>(tc.stormHorizon), 1));
     tc.stormQueueCap =
-        static_cast<int>(cfg.getInt("storm_queue", tc.stormQueueCap));
-    tc.stormTrough = cfg.getDouble("storm_trough", tc.stormTrough);
-    tc.stormWriteFrac = cfg.getDouble("storm_write", tc.stormWriteFrac);
+        intFieldAtLeast(cfg, "storm_queue", tc.stormQueueCap, 1);
+    tc.stormTrough = fractionKnob(cfg, "storm_trough", tc.stormTrough);
+    tc.stormWriteFrac = fractionKnob(cfg, "storm_write", tc.stormWriteFrac);
     tc.stormHotCbs =
-        static_cast<int>(cfg.getInt("storm_hot_cbs", tc.stormHotCbs));
-    tc.stormHotFrac = cfg.getDouble("storm_hot_frac", tc.stormHotFrac);
-    tc.coherenceVcs =
-        static_cast<int>(cfg.getInt("coh_vcs", tc.coherenceVcs));
+        intFieldAtLeast(cfg, "storm_hot_cbs", tc.stormHotCbs, 1);
+    tc.stormHotFrac = fractionKnob(cfg, "storm_hot_frac", tc.stormHotFrac);
+    tc.coherenceVcs = intFieldAtLeast(cfg, "coh_vcs", tc.coherenceVcs, 0);
     tc.cohRegionLines =
-        static_cast<int>(cfg.getInt("coh_region", tc.cohRegionLines));
+        intFieldAtLeast(cfg, "coh_region", tc.cohRegionLines, 1);
 }
 
 void
@@ -96,10 +121,10 @@ applyRunnerKnobs(ExperimentConfig &ec, const Config &cfg,
     if (!(std::isfinite(ec.jobTimeoutSec) && ec.jobTimeoutSec >= 0))
         eqx_fatal("knob timeout=", ec.jobTimeoutSec,
                   " is out of range (want a finite value >= 0)");
-    ec.jobRetries = static_cast<int>(intAtLeast(cfg, "retries", 1, 0));
+    ec.jobRetries = intFieldAtLeast(cfg, "retries", 1, 0);
     ec.progress = cfg.getBool("progress", progress_default);
     ec.jsonlPath = cfg.getString("jsonl", "");
-    ec.warmupCycles = static_cast<Cycle>(cfg.getInt("warmup", 0));
+    ec.warmupCycles = static_cast<Cycle>(intAtLeast(cfg, "warmup", 0, 0));
     ec.collectMetrics = cfg.getBool("metrics", false);
     applyTrafficKnobs(ec.traffic, cfg);
 }

@@ -17,12 +17,13 @@
  *   retries=<n>   retries after a non-completed attempt, >= 0
  *   progress=0|1  stderr ticker (default per CLI)
  *   jsonl=<path>  stream one JSONL record per cell
- *   warmup=<n>    reset NoC stats at core cycle n (0 = off)
+ *   warmup=<n>    reset NoC stats at core cycle n, >= 0 (0 = off)
  *   metrics=1     per-router/per-NI observability snapshot per cell
  * Traffic (applyTrafficKnobs; DESIGN.md §16, EXPERIMENTS.md table):
- *   traffic=<model> trace=capture:<p>,replay:<p> storm_rate=<f>
- *   storm_horizon=<n> storm_queue=<n> storm_trough=<f> storm_write=<f>
- *   storm_hot_cbs=<n> storm_hot_frac=<f> coh_vcs=<n> coh_region=<n>
+ *   traffic=<model> trace=capture:<p>,replay:<p> storm_rate=<f> > 0
+ *   storm_horizon=<n> storm_queue=<n> storm_hot_cbs=<n> coh_region=<n>
+ *   each >= 1; storm_trough=<f> storm_write=<f> storm_hot_frac=<f>
+ *   each in [0, 1]; coh_vcs=<n> >= 0
  * Sweep fabric (parseSweepKnobs; DESIGN.md §13), read only by the CLIs
  * that honour it (fig09, fig10, fig12, sweep):
  *   cache=<dir> shard=<i/N>

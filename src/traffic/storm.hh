@@ -51,15 +51,6 @@ class StormEndpoint final : public PacketSink
     /** Horizon passed, backlog flushed, every reply returned. */
     bool done() const;
 
-    /** Global time wheel (DESIGN.md §14). */
-    Cycle
-    nextDueCycle(Cycle now) const
-    {
-        if (now < horizon_ || !backlog_.empty())
-            return now + 1;
-        return kNeverCycle;
-    }
-
     std::uint64_t offered() const { return offered_; }
     std::uint64_t injected() const { return injected_; }
     std::uint64_t delivered() const { return delivered_; }

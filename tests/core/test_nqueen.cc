@@ -38,7 +38,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CountCase{6, 4}, CountCase{7, 40},
                       CountCase{8, 92}), // the paper's 92 for 8x8
     [](const auto &info) {
-        return "N" + std::to_string(info.param.n);
+        return std::string("N").append(std::to_string(info.param.n));
     });
 
 TEST(NQueen, SolutionsAreValid)

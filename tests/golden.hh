@@ -155,20 +155,6 @@ ofRun(const RunResult &r)
     return ofCell(cell);
 }
 
-/**
- * The stepped reference run: explicit step() on every core cycle (no
- * time-wheel fast-forward), then run() only to collect. System::run()
- * must produce the same RunResult.
- */
-inline RunResult
-steppedRun(const SystemConfig &sc, const WorkloadProfile &wp)
-{
-    System sys(sc, wp);
-    while (!sys.finished() && sys.now() < sc.maxCycles)
-        sys.step();
-    return sys.run();
-}
-
 } // namespace eqx::golden
 
 #endif // EQX_TESTS_GOLDEN_HH

@@ -94,8 +94,10 @@ INSTANTIATE_TEST_SUITE_P(
         NetCfg{8, 2, RoutingMode::MinimalAdaptive, false},
         NetCfg{8, 4, RoutingMode::XY, true}),
     [](const auto &info) {
-        std::string name = "s" + std::to_string(std::get<0>(info.param)) +
-                           "v" + std::to_string(std::get<1>(info.param));
+        std::string name = "s";
+        name.append(std::to_string(std::get<0>(info.param)))
+            .append("v")
+            .append(std::to_string(std::get<1>(info.param)));
         name += std::get<2>(info.param) == RoutingMode::XY ? "XY" : "AD";
         if (std::get<3>(info.param))
             name += "cls";

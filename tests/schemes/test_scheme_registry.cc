@@ -31,7 +31,7 @@ TEST(SchemeRegistry, EveryLegacyEnumResolves)
 
 TEST(SchemeRegistry, NamesAndTopologyMatchPreRefactorTable)
 {
-    // The exact (schemeName, isSingleNetwork) table the simulator
+    // The exact (schemeName, single-network) table the simulator
     // hardcoded in switch statements before the registry existed.
     struct Row
     {
@@ -48,7 +48,6 @@ TEST(SchemeRegistry, NamesAndTopologyMatchPreRefactorTable)
           Row{Scheme::MultiPort, "MultiPort", false},
           Row{Scheme::EquiNox, "EquiNox", false}}) {
         EXPECT_STREQ(schemeName(r.s), r.name);
-        EXPECT_EQ(isSingleNetwork(r.s), r.single) << r.name;
         EXPECT_EQ(SchemeRegistry::instance().byEnum(r.s).singleNetwork(),
                   r.single)
             << r.name;

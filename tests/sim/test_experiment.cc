@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 
@@ -253,9 +254,12 @@ jsonlModuloWall(const std::string &path)
         EXPECT_NE(at, std::string::npos) << line;
         if (at != std::string::npos) {
             at += 10;
-            line.replace(at, line.find(',', at) - at, "0");
+            std::size_t end = std::min(line.find(',', at), line.size());
+            out.append(line, 0, at).append("0").append(line, end);
+        } else {
+            out.append(line);
         }
-        out += line + '\n';
+        out += '\n';
     }
     return out;
 }

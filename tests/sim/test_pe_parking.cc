@@ -3,10 +3,10 @@
  * Parked PEs (DESIGN.md §10) are exact: System::step(), which skips a
  * PE whose last tick changed nothing until a reply or a freed NI slot
  * wakes it, must leave every counter where a loop that ticks every
- * PE every stepped cycle leaves it — the way the e2e_bench layer
- * replica ticks an unwired PE. The reference system below builds the
- * same system through the same scheme and traffic registries and
- * repeats System's cycle loop and time-wheel skip rule, minus parking.
+ * PE every cycle leaves it — the way the e2e_bench layer replica
+ * ticks an unwired PE. The reference system below builds the same
+ * system through the same scheme and traffic registries and repeats
+ * System's cycle loop, minus parking.
  */
 
 #include <gtest/gtest.h>
@@ -82,32 +82,6 @@ class EveryCycleSystem
         if (cfg_.warmupCycles > 0 && cycle_ == cfg_.warmupCycles)
             for (auto &net : nets_)
                 net->resetStats();
-    }
-
-    /** System::maybeSkip()'s rule over the same components. */
-    void
-    maybeSkip()
-    {
-        if (cycle_ + 1 >= cfg_.maxCycles)
-            return;
-        Cycle next = kNeverCycle;
-        for (const auto &pe : pes_)
-            next = std::min(next, pe->nextDueCycle(cycle_));
-        for (const auto &cb : cbs_)
-            next = std::min(next, cb->nextDueCycle(cycle_));
-        for (const auto &net : nets_)
-            next = std::min(next, net->nextDueCycle(cycle_));
-        if (next == kNeverCycle || next == cycle_ + 1)
-            return;
-        Cycle target = next - 1;
-        if (cfg_.warmupCycles > cycle_)
-            target = std::min(target, cfg_.warmupCycles - 1);
-        target = std::min(target, cfg_.maxCycles - 1);
-        if (target <= cycle_)
-            return;
-        for (auto &net : nets_)
-            net->skipTo(target);
-        cycle_ = target;
     }
 
     bool
@@ -208,26 +182,20 @@ profile()
 }
 
 /**
- * Run System and the reference to completion (or @p max_cycles),
- * stepping with or without the time wheel, and compare every counter.
+ * Run System and the reference to completion (or @p max_cycles) and
+ * compare every counter.
  */
 void
-expectExact(Scheme s, Cycle max_cycles, bool skip)
+expectExact(Scheme s, Cycle max_cycles)
 {
     SystemConfig sc = config(s);
     sc.maxCycles = max_cycles;
     System sys(sc, profile());
     EveryCycleSystem ref(sc, profile());
-    while (!sys.finished() && sys.now() < sc.maxCycles) {
+    while (!sys.finished() && sys.now() < sc.maxCycles)
         sys.step();
-        if (skip)
-            sys.maybeSkip();
-    }
-    while (!ref.finished() && ref.now() < sc.maxCycles) {
+    while (!ref.finished() && ref.now() < sc.maxCycles)
         ref.step();
-        if (skip)
-            ref.maybeSkip();
-    }
     RunResult r = sys.run(); // collect only; settles parked counters
     EXPECT_EQ(r.completed, ref.finished());
     EXPECT_EQ(sys.now(), ref.now());
@@ -268,28 +236,25 @@ expectExact(Scheme s, Cycle max_cycles, bool skip)
 
 TEST(PeParking, MatchesEveryCycleTicking_SeparateBase)
 {
-    expectExact(Scheme::SeparateBase, 2'000'000, false);
-    expectExact(Scheme::SeparateBase, 2'000'000, true);
+    expectExact(Scheme::SeparateBase, 2'000'000);
 }
 
 TEST(PeParking, MatchesEveryCycleTicking_EquiNox)
 {
-    expectExact(Scheme::EquiNox, 2'000'000, false);
-    expectExact(Scheme::EquiNox, 2'000'000, true);
+    expectExact(Scheme::EquiNox, 2'000'000);
 }
 
 TEST(PeParking, MatchesEveryCycleTicking_DA2Mesh)
 {
-    expectExact(Scheme::Da2Mesh, 2'000'000, false);
-    expectExact(Scheme::Da2Mesh, 2'000'000, true);
+    expectExact(Scheme::Da2Mesh, 2'000'000);
 }
 
 TEST(PeParking, MatchesEveryCycleTickingWhenCutByMaxCycles)
 {
     // Cut mid-run: PEs, NIs and routers are still parked when run()
     // collects, so their skipped spans must be settled first.
-    expectExact(Scheme::SeparateBase, 1500, true);
-    expectExact(Scheme::EquiNox, 1500, true);
+    expectExact(Scheme::SeparateBase, 1500);
+    expectExact(Scheme::EquiNox, 1500);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "golden.hh"
 #include "sim/system.hh"
 
 namespace eqx {
@@ -235,6 +236,25 @@ TEST(System, MetricsSnapshotOptIn)
     EXPECT_GT(r.metrics.get("request.act.link_flits"), 0.0);
     EXPECT_GT(r.metrics.get("reply.act.link_flits"), 0.0);
     EXPECT_GT(r.metrics.get("reply.lat.rep.p95"), 0.0);
+}
+
+TEST(System, WindowStalledRunMatchesGolden)
+{
+    // Memory-bound shape: a two-access latency-tolerance window and a
+    // 1 KB L1 keep every PE window-stalled on DRAM most cycles, so this
+    // run has more all-idle cycles than any figure cell. Golden
+    // captured at commit 8662185, where run() fast-forwarded over 220
+    // of them and an every-cycle stepped run produced it too.
+    const golden::Golden want{0xfa853c7df1b1141fULL, 12269, 400195, 21326,
+                              140112};
+    SystemConfig sc = cfg(Scheme::SeparateBase);
+    sc.warmupCycles = 50;
+    sc.collectMetrics = true;
+    sc.pe.maxOutstanding = 2;
+    sc.pe.l1 = CacheGeometry{1024, 64, 2};
+    RunResult r = System(sc, tiny("kmeans", 400)).run();
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(golden::ofRun(r), want);
 }
 
 TEST(System, DeterministicAcrossRuns)

@@ -141,6 +141,43 @@ TEST(Knobs, OutOfRangeValuesAreFatal)
             << bad;
 }
 
+TEST(Knobs, OutOfRangeTrafficKnobsAreFatal)
+{
+    // Each of these once divided by zero, wrapped to a huge unsigned
+    // value, narrowed to a different int or panicked inside every
+    // cell; now the parse refuses it.
+    for (const char *bad :
+         {"storm_rate=0", "storm_rate=-2", "storm_rate=nan",
+          "storm_rate=inf", "storm_horizon=0", "storm_horizon=-1",
+          "storm_queue=0", "storm_queue=-1", "storm_hot_cbs=0",
+          "coh_region=0", "coh_region=-4", "coh_vcs=-1",
+          "storm_trough=-0.1", "storm_trough=nan", "storm_write=1.5",
+          "storm_hot_frac=2", "storm_hot_frac=inf",
+          "storm_queue=4294967296", "coh_region=2147483648"}) {
+        TrafficConfig tc;
+        EXPECT_THROW(applyTrafficKnobs(tc, knobs({bad})), FatalError)
+            << bad;
+    }
+    ExperimentConfig ec;
+    for (const char *bad : {"warmup=-5", "retries=4294967297"})
+        EXPECT_THROW(applyRunnerKnobs(ec, knobs({bad}), false), FatalError)
+            << bad;
+
+    // The bounds themselves are accepted.
+    TrafficConfig tc;
+    applyTrafficKnobs(
+        tc, knobs({"storm_rate=0.5", "storm_horizon=1", "storm_queue=1",
+                   "storm_hot_cbs=1", "coh_region=1", "coh_vcs=0",
+                   "storm_trough=0", "storm_write=1", "storm_hot_frac=0"}));
+    EXPECT_EQ(tc.stormRatePerK, 0.5);
+    EXPECT_EQ(tc.stormHorizon, 1u);
+    EXPECT_EQ(tc.stormQueueCap, 1);
+    EXPECT_EQ(tc.cohRegionLines, 1);
+    EXPECT_EQ(tc.stormWriteFrac, 1.0);
+    applyRunnerKnobs(ec, knobs({"warmup=0"}), false);
+    EXPECT_EQ(ec.warmupCycles, 0u);
+}
+
 TEST(Knobs, FaultKnobsKeepUnsetFields)
 {
     FaultConfig fc;

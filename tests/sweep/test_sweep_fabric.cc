@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -60,19 +61,18 @@ writeFile(const std::string &path, const std::string &bytes)
 /** Zero every "wall_ms" value: it is machine/load dependent and
  *  explicitly outside the byte-identity guarantee. */
 std::string
-normalizeWall(std::string s)
+normalizeWall(const std::string &s)
 {
     const std::string key = "\"wall_ms\":";
-    std::size_t pos = 0;
-    while ((pos = s.find(key, pos)) != std::string::npos) {
+    std::string out;
+    std::size_t from = 0, pos;
+    while ((pos = s.find(key, from)) != std::string::npos) {
         std::size_t vstart = pos + key.size();
-        std::size_t vend = vstart;
-        while (vend < s.size() && s[vend] != ',' && s[vend] != '}')
-            ++vend;
-        s.replace(vstart, vend - vstart, "0");
-        pos = vstart;
+        out.append(s, from, vstart - from).append("0");
+        from = std::min(s.find_first_of(",}", vstart), s.size());
     }
-    return s;
+    out.append(s, from);
+    return out;
 }
 
 /** 2 schemes x 2 benchmarks, tiny: 4 cells, sequential pool. */
