@@ -31,6 +31,9 @@ try {
                 "EquiNox (HPCA'20) Figure 9(a)(b)(c)");
 
     auto cells = runMatrixOrSweep(ec, so);
+    // A failed cell would skew every normalized table below.
+    if (listFailedCells(cells) > 0)
+        return 1;
 
     if (!csv.empty())
         writeCellsCsv(cells, csv);

@@ -30,6 +30,9 @@ try {
                 "EquiNox (HPCA'20) Figure 10");
 
     auto cells = runMatrixOrSweep(ec, so);
+    // A failed cell would skew every normalized table below.
+    if (listFailedCells(cells) > 0)
+        return 1;
 
     if (ec.collectMetrics) {
         printMetricsDigest(cells, ec.schemes);

@@ -72,6 +72,9 @@ try {
         if (sizes.size() > 1 && !ec.jsonlPath.empty())
             ec.jsonlPath += ".s" + std::to_string(n);
         auto cells = runMatrixOrSweep(ec, so);
+        // A failed cell would skew every normalized table below.
+        if (listFailedCells(cells) > 0)
+            return 1;
         auto ipc = [](const RunResult &r) { return r.ipc; };
         // First scheme = baseline, last = variant: the default pair is
         // the paper's SeparateBase/EquiNox, and scheme= overrides

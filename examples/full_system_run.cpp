@@ -6,6 +6,7 @@
  *
  * Usage: full_system_run [benchmark=kmeans] [scale=0.3] [seed=1]
  *                        [scheme=<key>[,<key>...]] [verbose=true]
+ *                        [traffic knobs, src/sweep/knobs.hh]
  */
 
 #include <cstdio>
@@ -91,6 +92,8 @@ try {
         parseSchemeKnob(cfg, paperSchemeNames());
     std::uint64_t seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     bool verbose = cfg.getBool("verbose", false);
+    TrafficConfig traffic;
+    applyTrafficKnobs(traffic, cfg);
     cfg.rejectUnused();
 
     std::printf("benchmark=%s instsPerPe=%llu\n", wp.name.c_str(),
@@ -105,6 +108,7 @@ try {
         SystemConfig sc;
         sc.schemeKey = s;
         sc.seed = seed;
+        sc.traffic = traffic;
         if (SchemeRegistry::instance().byName(s).usesEquiNoxDesign())
             sc.preDesign = &design;
         System sys(sc, wp);

@@ -105,17 +105,10 @@ try {
     auto t1 = std::chrono::steady_clock::now();
     double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
-    std::size_t failed = 0;
+    std::size_t failed = listFailedCells(cells);
     double cpu_ms = 0;
-    for (const auto &c : cells) {
-        failed += c.failed ? 1u : 0u;
+    for (const auto &c : cells)
         cpu_ms += c.wallMs;
-        if (c.failed)
-            std::printf("  FAILED %s/%s after %d attempt(s)%s%s\n",
-                        c.benchmark.c_str(), c.scheme.c_str(),
-                        c.attempts, c.error.empty() ? "" : ": ",
-                        c.error.c_str());
-    }
     std::printf("sweep finished in %.2f s wall (%.2f s of simulation "
                 "across workers, %.2fx concurrency), %zu/%zu cells "
                 "failed\n",

@@ -35,7 +35,8 @@ constexpr Cycle kNeverCycle = ~static_cast<Cycle>(0);
  * The OR is a relaxed atomic: System ticks its request and reply
  * networks on two threads, and both wake PEs in the same words
  * (DESIGN.md §10). OR commutes, and no one reads the words until the
- * two threads join, so the result is the serial one.
+ * network phase ends, when the PEs tick on the caller and nothing
+ * fires a wake (DESIGN.md §8), so the result is the serial one.
  */
 struct WakeBit
 {

@@ -16,6 +16,8 @@
 
 namespace eqx {
 
+class Network;
+
 /**
  * Abstracts "send this packet into the right network": the scheme
  * decides between request/reply networks, CMesh overlay, or DA2Mesh
@@ -34,6 +36,11 @@ class PacketInjector
      *  injector can inject into: the only events that can turn a
      *  refusal into an acceptance (DESIGN.md §10). */
     virtual void watchSlots(const WakeBit &w) = 0;
+    /** Can this injector put a packet into @p net? System pairs each
+     *  endpoint with the thread that ticks the networks it reaches
+     *  (DESIGN.md §8); an injector that cannot tell says true, which
+     *  keeps the step serial. */
+    virtual bool reaches(const Network &) const { return true; }
 };
 
 /** Line-interleaved mapping of physical addresses to cache banks. */

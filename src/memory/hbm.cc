@@ -1,5 +1,6 @@
 #include "memory/hbm.hh"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -73,7 +74,12 @@ HbmStack::enqueue(const MemRequest &req, Cycle)
     auto &ch = channels_[static_cast<std::size_t>(c)];
     eqx_assert(static_cast<int>(ch.queue.size()) < params_.queueDepth,
                "HBM channel queue overflow");
-    ch.queue.push_back(Queued{req, bankOf(req.addr), rowOf(req.addr)});
+    int bank = bankOf(req.addr);
+    ch.queue.push_back(Queued{req, bank, rowOf(req.addr)});
+    ch.nextIssue = std::min(
+        ch.nextIssue,
+        std::max(ch.busFreeAt,
+                 ch.banks[static_cast<std::size_t>(bank)].readyAt));
     backlog_ |= std::uint64_t{1} << c;
     ++outstanding_;
     counters_.inc(req.write ? Stat::Writes : Stat::Reads);
@@ -82,19 +88,24 @@ HbmStack::enqueue(const MemRequest &req, Cycle)
 void
 HbmStack::issueChannel(Channel &ch, Cycle now)
 {
-    if (ch.busFreeAt > now)
+    if (ch.busFreeAt > now) {
+        ch.nextIssue = ch.busFreeAt;
         return;
+    }
     const DramTiming &t = params_.timing;
 
     // FR-FCFS: first ready row-hit; otherwise the oldest ready request.
     const std::size_t n = ch.queue.size();
     std::size_t pick = n;
     std::size_t oldest_ready = n;
+    Cycle first_ready = kNeverCycle; ///< of the banks not ready now
     for (std::size_t i = 0; i < n; ++i) {
         const Queued &q = ch.queue[i];
         const Bank &b = ch.banks[static_cast<std::size_t>(q.bank)];
-        if (b.readyAt > now)
+        if (b.readyAt > now) {
+            first_ready = std::min(first_ready, b.readyAt);
             continue;
+        }
         if (b.openRow == q.row) {
             pick = i;
             break;
@@ -104,8 +115,10 @@ HbmStack::issueChannel(Channel &ch, Cycle now)
     }
     if (pick == n)
         pick = oldest_ready;
-    if (pick == n)
+    if (pick == n) {
+        ch.nextIssue = first_ready; // the whole queue was scanned
         return;
+    }
 
     Queued q = ch.queue[pick];
     ch.queue.erase(ch.queue.begin() +
@@ -130,6 +143,7 @@ HbmStack::issueChannel(Channel &ch, Cycle now)
                    static_cast<Cycle>(req.write ? t.tWR : 0);
     bank.readyAt = finish;
     ch.busFreeAt = now + static_cast<Cycle>(t.tBL);
+    ch.nextIssue = ch.busFreeAt;
     inflight_.push(Inflight{finish, req});
 }
 
@@ -144,10 +158,14 @@ HbmStack::tick(Cycle now)
         onComplete_(req, now);
     }
     // Backlogged channels only, in ascending order: the order in which
-    // same-cycle issues enter inflight_ decides completion order.
+    // same-cycle issues enter inflight_ decides completion order. A
+    // channel whose next possible issue lies ahead would find its bus
+    // busy or no bank ready, so it is skipped.
     for (std::uint64_t m = backlog_; m != 0; m &= m - 1) {
         int c = std::countr_zero(m);
         Channel &ch = channels_[static_cast<std::size_t>(c)];
+        if (ch.nextIssue > now)
+            continue;
         issueChannel(ch, now);
         if (ch.queue.empty())
             backlog_ &= ~(std::uint64_t{1} << c);

@@ -111,6 +111,10 @@ class HbmStack
         std::deque<Queued> queue;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
+        /** No issue can happen before this cycle (DESIGN.md §18):
+         *  busFreeAt after an issue, else the earliest readyAt among
+         *  the queued requests' banks; enqueue() lowers it. */
+        Cycle nextIssue = 0;
     };
 
     struct Inflight
@@ -124,7 +128,8 @@ class HbmStack
     };
 
     /** FR-FCFS issue on one backlogged channel (no-op while its bus
-     *  is busy or no queued request's bank is ready). */
+     *  is busy or no queued request's bank is ready); either way it
+     *  sets the channel's nextIssue. */
     void issueChannel(Channel &ch, Cycle now);
 
     HbmParams params_;

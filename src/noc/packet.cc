@@ -11,13 +11,16 @@ namespace eqx {
  * returned to the OS when the owning thread exits; the freelist is
  * LIFO so the hot loop keeps re-touching cache-warm packets. Only the
  * owner allocates. A packet may die on another thread: System ticks
- * its request network on a helper thread (DESIGN.md §8), so a PE's
- * request can die in a CB on the helper and a CB's Invalidate, made
- * on the helper, dies on the caller. Such a packet goes onto the
- * owner's lock-free return stack, which the owner splices into its
- * freelist when that runs dry, so neither arena grows with run length.
- * An arena must outlive every packet it allocated: System stops its
- * helper only after its networks and endpoints are gone.
+ * the request network and the storm endpoints on a helper thread and
+ * the reply group, the CBs and the PEs on the caller (DESIGN.md §8).
+ * So a storm request, made on the helper, mostly dies in a CB tick on
+ * the caller; a CB's Invalidate, made on the helper, dies in the reply
+ * group; and a PE's InvAck, made on the caller, dies in a CB on the
+ * helper. Such a packet goes onto the owner's lock-free return stack,
+ * which the owner splices into its freelist when that runs dry, so
+ * neither arena grows with run length. An arena must outlive every
+ * packet it allocated: System stops its helper only after its
+ * networks and endpoints are gone.
  */
 class PacketPool
 {

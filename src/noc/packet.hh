@@ -5,12 +5,14 @@
  *
  * Packets are pool-allocated with a *non-atomic* intrusive refcount:
  * only one thread at a time touches a packet's references, the one
- * ticking the network or endpoint that holds it. System may tick its
- * request and reply networks on two threads, but those share no
- * packet, and the threads join before any packet moves between them
+ * ticking the network or endpoint that holds it. System may tick a
+ * step's two lanes on two threads, but the lanes of a phase share no
+ * packet, and the threads meet before any packet moves between them
  * (DESIGN.md §8). So the shared_ptr atomic refcount traffic the flit
  * hot path used to pay buys nothing. Each thread allocates from its
- * own freelist arena; see DESIGN.md §10 for the lifetime rules.
+ * own freelist arena: the helper makes the storm endpoints' requests
+ * and the CBs' Invalidates, the caller the PEs' requests and InvAcks
+ * and the CBs' replies. See DESIGN.md §10 for the lifetime rules.
  */
 
 #ifndef EQX_NOC_PACKET_HH

@@ -73,6 +73,12 @@ class OverlayInjector : public PacketInjector
         mesh_->watchCoreSlots(node_, w);
     }
 
+    bool
+    reaches(const Network &net) const override
+    {
+        return &net == mesh_ || &net == overlay_;
+    }
+
   private:
     /** Distant enough, and leaving the entry's concentration group. */
     bool

@@ -7,6 +7,7 @@
 #ifndef EQX_SCHEMES_INJECTORS_HH
 #define EQX_SCHEMES_INJECTORS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -35,6 +36,8 @@ class DirectInjector : public PacketInjector
     {
         net_->watchCoreSlots(node_, w);
     }
+
+    bool reaches(const Network &net) const override { return &net == net_; }
 
   private:
     Network *net_;
@@ -66,6 +69,13 @@ class SubnetInjector : public PacketInjector
     {
         for (Network *net : subnets_)
             net->watchCoreSlots(node_, w);
+    }
+
+    bool
+    reaches(const Network &net) const override
+    {
+        return std::find(subnets_.begin(), subnets_.end(), &net) !=
+               subnets_.end();
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "schemes/scheme_model.hh"
 
+#include "common/logging.hh"
 #include "core/placement.hh"
 #include "schemes/injectors.hh"
 
@@ -16,6 +17,16 @@ SchemeModel::baseParams(const SystemConfig &cfg, const std::string &name)
     p.vcDepthFlits = cfg.vcDepthFlits;
     p.flitBits = cfg.flitBits;
     return p;
+}
+
+void
+SchemeModel::checkConfig(const SystemConfig &cfg) const
+{
+    int most = cfg.vcsPerPort - 2;
+    if (singleNetwork() && cfg.traffic.coherenceVcs > most)
+        eqx_fatal("knob coh_vcs=", cfg.traffic.coherenceVcs,
+                  " is out of range for ", name(), " (want <= ", most,
+                  ", its vcsPerPort - 2)");
 }
 
 const EquiNoxDesign *

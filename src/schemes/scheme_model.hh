@@ -74,6 +74,16 @@ class SchemeModel
     /** Name of the network that carries replies (fault targeting). */
     virtual const char *replyNetName() const = 0;
 
+    /**
+     * Reject, with eqx_fatal, a configuration this scheme's networks
+     * cannot be built from. ExperimentRunner asks for every scheme
+     * before any cell runs, so a bad knob exits 2 instead of failing
+     * every cell. Default: a single network splits each port's VCs
+     * into requests, replies and coh_vcs coherence VCs, so coh_vcs
+     * must leave one VC to each class.
+     */
+    virtual void checkConfig(const SystemConfig &cfg) const;
+
     // ---- build hooks ----
 
     /**

@@ -101,10 +101,13 @@ ExperimentRunner::runMatrix()
     // every job writes only its own pre-assigned slot, so the
     // returned vector is invariant to scheduling.
     // Resolve every scheme key up front: an unknown key fails fast,
-    // and aliases collapse to their canonical model.
+    // aliases collapse to their canonical model, and a config some
+    // scheme cannot build fails here rather than in every cell.
     std::vector<const SchemeModel *> models;
-    for (const auto &key : cfg_.schemes)
+    for (const auto &key : cfg_.schemes) {
         models.push_back(&SchemeRegistry::instance().byName(key));
+        models.back()->checkConfig(makeSystemConfig(*models.back()));
+    }
 
     struct CellRef
     {

@@ -1,14 +1,18 @@
 /**
  * @file
- * The clocked layers of a System (DESIGN.md §8), in tick order: the
- * networks, the cache banks, the PEs and the storm endpoints.
+ * The clocked layers of a System (DESIGN.md §8), in serial tick order:
+ * the networks, the cache banks, the PEs and the storm endpoints; and
+ * the StepRunner that ticks them, on one thread or on two.
  */
 
 #ifndef EQX_SIM_LAYERS_HH
 #define EQX_SIM_LAYERS_HH
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gpu/cache_bank.hh"
@@ -18,11 +22,20 @@
 
 namespace eqx {
 
-/** What System asks of each layer, in one walk of its list. */
-class ClockedLayer
+/** Something one lane of a step ticks (DESIGN.md §8). */
+class Tickable
 {
   public:
     virtual void tick(Cycle cycle) = 0;
+
+  protected:
+    ~Tickable() = default; ///< never deleted through this type
+};
+
+/** What System asks of each layer, in one walk of its list. */
+class ClockedLayer : public Tickable
+{
+  public:
     virtual bool drained() const = 0;
     virtual void resetStats() {}
     /** Replay parked components' skipped ticks into counters (§10). */
@@ -79,27 +92,38 @@ class NetworkGroup final
     : public LayerOf<Network, &Network::coreTick, &Network::drained>
 {
   public:
-    NetworkGroup() = default;
-    /** Drops the networks first: they hold packets from the helper's
-     *  arena, which dies with its thread. */
-    ~NetworkGroup();
-    NetworkGroup(const NetworkGroup &) = delete;
-    NetworkGroup &operator=(const NetworkGroup &) = delete;
+    /** all()[0], and the rest: the two lanes of the network phase. */
+    Tickable &requestLane() { return request_; }
+    Tickable &replyLane() { return replies_; }
 
-    /** From now on tick all()[0] on a helper thread while the caller
-     *  ticks the rest, if this process may use a second CPU and is
-     *  not a worker of a multi-worker JobPool. The caller has checked
-     *  that the two groups meet only at endpoints. */
-    void overlap();
-    bool overlaps() const { return helper_ != nullptr; }
-
-    void tick(Cycle cycle) override;
     void resetStats() override { each(&Network::resetStats); }
     void settleParkedStats() override { each(&Network::settleParkedStats); }
 
   private:
-    class NetHelper;
-    std::unique_ptr<NetHelper> helper_;
+    /** Ticks all()[first, last), last clamped to all().size(). */
+    class Slice final : public Tickable
+    {
+      public:
+        Slice(const NetworkGroup &group, std::size_t first, std::size_t last)
+            : group_(group), first_(first), last_(last)
+        {}
+
+        void
+        tick(Cycle cycle) override
+        {
+            const auto &nets = group_.all();
+            for (std::size_t i = first_; i < std::min(last_, nets.size());
+                 ++i)
+                nets[i]->coreTick(cycle);
+        }
+
+      private:
+        const NetworkGroup &group_;
+        std::size_t first_, last_;
+    };
+
+    Slice request_{*this, 0, 1};
+    Slice replies_{*this, 1, std::numeric_limits<std::size_t>::max()};
 };
 
 /** The PEs and their active set (DESIGN.md §10): a PE whose tick
@@ -121,6 +145,52 @@ class PeLayer final
     std::vector<std::uint64_t> parkedAt_;
     /** Ticks so far, one per core cycle. */
     std::uint64_t steps_ = 0;
+};
+
+/**
+ * The schedule of one core cycle (DESIGN.md §8): phases in order, each
+ * with two lanes. Serially, each phase ticks the lane that comes first
+ * in the serial order, then the other. Overlapped, a helper thread
+ * ticks one lane of each phase while the caller ticks the other, and
+ * the two threads meet at the end of every phase; a phase whose
+ * helper lane is empty runs on the caller alone. Whatever a lane
+ * throws is rethrown on the caller once both lanes of its phase are
+ * done; of two throws in one phase, the serially first lane's wins, as
+ * the serial step would have thrown it alone.
+ */
+class StepRunner
+{
+  public:
+    struct Phase
+    {
+        std::vector<Tickable *> helper; ///< the helper's lane
+        std::vector<Tickable *> caller; ///< the caller's lane
+        bool helperFirst;               ///< serial order: helper lane first
+    };
+
+    StepRunner();
+    /** Stops the helper thread. Its packet arena dies with it, so
+     *  whoever owns the runner destroys every packet holder first. */
+    ~StepRunner();
+    StepRunner(const StepRunner &) = delete;
+    StepRunner &operator=(const StepRunner &) = delete;
+
+    /** Tick @p phases each step; call once, before overlap(). */
+    void schedule(std::vector<Phase> phases) { phases_ = std::move(phases); }
+
+    /** From now on tick the lanes of each phase at the same time, if
+     *  this process may use a second CPU and is not a worker of a
+     *  multi-worker JobPool. The caller has checked that the lanes of
+     *  every phase touch disjoint state. */
+    void overlap();
+    bool overlaps() const { return helper_ != nullptr; }
+
+    void tick(Cycle cycle);
+
+  private:
+    class Helper;
+    std::vector<Phase> phases_;
+    std::unique_ptr<Helper> helper_;
 };
 
 } // namespace eqx

@@ -46,6 +46,19 @@ mayUseSecondThread()
     return CPU_COUNT(&set) >= 2;
 }
 
+/** The lanes of the endpoint phase, as System::injectors_ indexes
+ *  them. */
+constexpr std::size_t kHelperLane = 0;
+constexpr std::size_t kCallerLane = 1;
+
+/** Tick every member of one lane, in order. */
+void
+tickLane(const std::vector<Tickable *> &lane, Cycle cycle)
+{
+    for (Tickable *t : lane)
+        t->tick(cycle);
+}
+
 void
 cpuRelax()
 {
@@ -57,47 +70,46 @@ cpuRelax()
 } // namespace
 
 /**
- * The thread that ticks the request network, all()[0], while the
- * calling thread ticks the reply group (DESIGN.md §8). start() offers
- * it one core cycle; join() returns once that tick is done. Each side
- * publishes with a release and waits with an acquire, so each sees
- * everything the other wrote before. A waiting side spins, as its
- * partner is microseconds away while the System steps, and blocks in
- * atomic::wait once kSpin has passed: a System that stopped stepping
- * burns no CPU. Whatever the helper's tick throws is rethrown by
- * join(). The thread allocates packets from its own arena, which dies
- * with it, so it must outlive every packet holder: the group drops
- * its networks before it, and System destroys the group last.
+ * The thread that ticks the helper's lane of each phase while the
+ * calling thread ticks the other (DESIGN.md §8). start() offers it one
+ * phase of one core cycle; join() returns once that lane is done, with
+ * what it threw. Each side publishes with a release and waits with an
+ * acquire, so each sees everything the other wrote before. A waiting
+ * side spins, as its partner is microseconds away while the System
+ * steps, and blocks in atomic::wait once kSpin has passed: a System
+ * that stopped stepping burns no CPU. The thread allocates packets
+ * from its own arena, which dies with it, so it must outlive every
+ * packet holder: System declares its runner before its layers.
  */
-class NetworkGroup::NetHelper
+class StepRunner::Helper
 {
   public:
-    explicit NetHelper(Network &net)
-        : net_(net), thread_([this] { loop(); })
+    explicit Helper(const std::vector<Phase> &phases)
+        : phases_(phases), thread_([this] { loop(); })
     {}
 
-    ~NetHelper()
+    ~Helper()
     {
         publish(offered_, kStop, helperSleeping_);
         thread_.join();
     }
 
-    NetHelper(const NetHelper &) = delete;
-    NetHelper &operator=(const NetHelper &) = delete;
+    Helper(const Helper &) = delete;
+    Helper &operator=(const Helper &) = delete;
 
     void
-    start(Cycle cycle)
+    start(std::size_t phase, Cycle cycle)
     {
+        phase_ = phase;
         cycle_ = cycle;
         publish(offered_, ++lastOffer_, helperSleeping_);
     }
 
-    void
+    std::exception_ptr
     join()
     {
         await(done_, lastOffer_ - 1, callerSleeping_);
-        if (error_)
-            std::rethrow_exception(std::exchange(error_, nullptr));
+        return std::exchange(error_, nullptr);
     }
 
   private:
@@ -147,7 +159,7 @@ class NetworkGroup::NetHelper
             if (seen == kStop)
                 return;
             try {
-                net_.coreTick(cycle_);
+                tickLane(phases_[phase_].helper, cycle_);
             } catch (...) {
                 error_ = std::current_exception();
             }
@@ -155,10 +167,11 @@ class NetworkGroup::NetHelper
         }
     }
 
-    Network &net_;
-    Cycle cycle_ = 0;             ///< the handed-off core cycle
+    const std::vector<Phase> &phases_;
+    std::size_t phase_ = 0;       ///< the handed-off phase
+    Cycle cycle_ = 0;             ///< and its core cycle
     std::uint64_t lastOffer_ = 0; ///< offers so far (caller only)
-    std::exception_ptr error_;    ///< thrown by the helper's last tick
+    std::exception_ptr error_;    ///< thrown by the helper's last lane
     Flag offered_{0};             ///< last offer, or kStop
     Flag done_{0};                ///< last offer ticked
     std::atomic<bool> helperSleeping_{false};
@@ -166,37 +179,41 @@ class NetworkGroup::NetHelper
     std::thread thread_; ///< last: starts once the rest exists
 };
 
-NetworkGroup::~NetworkGroup()
-{
-    all_.clear();
-}
+StepRunner::StepRunner() = default;
+StepRunner::~StepRunner() = default;
 
 void
-NetworkGroup::overlap()
+StepRunner::overlap()
 {
     if (mayUseSecondThread())
-        helper_ = std::make_unique<NetHelper>(*all_[0]);
+        helper_ = std::make_unique<Helper>(phases_);
 }
 
 void
-NetworkGroup::tick(Cycle cycle)
+StepRunner::tick(Cycle cycle)
 {
-    if (!helper_)
-        return LayerOf::tick(cycle);
-    // Request network on the helper, reply group here; each keeps its
-    // own tick order, so outcomes are the serial ones.
-    helper_->start(cycle);
-    try {
-        for (std::size_t i = 1; i < all_.size(); ++i)
-            all_[i]->coreTick(cycle);
-    } catch (...) {
-        // Unwind only once the helper is done with the networks. A
-        // throw there too wins, as the serial order would have thrown
-        // it first.
-        helper_->join();
-        throw;
+    for (std::size_t i = 0; i < phases_.size(); ++i) {
+        const Phase &p = phases_[i];
+        if (!helper_ || p.helper.empty()) {
+            tickLane(p.helperFirst ? p.helper : p.caller, cycle);
+            tickLane(p.helperFirst ? p.caller : p.helper, cycle);
+            continue;
+        }
+        // Each lane keeps its own tick order and touches only its own
+        // state, so the outcome is the serial one.
+        helper_->start(i, cycle);
+        try {
+            tickLane(p.caller, cycle);
+        } catch (...) {
+            // Unwind only once the helper is done with its lane.
+            std::exception_ptr helper_error = helper_->join();
+            if (helper_error && p.helperFirst)
+                std::rethrow_exception(helper_error);
+            throw;
+        }
+        if (std::exception_ptr e = helper_->join())
+            std::rethrow_exception(e);
     }
-    helper_->join();
 }
 
 void
@@ -214,8 +231,8 @@ void
 PeLayer::tick(Cycle cycle)
 {
     // Every wake (a reply, a freed NI slot) lands during the network
-    // tick, the helper's before its join, so no bit changes under this
-    // walk.
+    // phase, which ends before this walk starts, so no bit changes
+    // under it.
     ++steps_;
     active_.forEach([&](std::size_t i) {
         ProcessingElement &pe = *all_[i];
@@ -249,8 +266,20 @@ System::System(const SystemConfig &config, const WorkloadProfile &profile)
     buildPlacement();
     buildNetworks();
     buildEndpoints(profile);
-    if (networkGroupsDisjoint())
-        nets_.overlap();
+    // Storm endpoints inject only into the request network and keep
+    // little state that replies touch, so they tick on the request
+    // network's thread. CBs, the longer lane, and PEs, whose state the
+    // reply group's PE::accept has just written, tick on the caller.
+    // buildEndpoints files each injector under the same lane.
+    std::vector<Tickable *> helper_endpoints;
+    if (!storms_.all().empty())
+        helper_endpoints.push_back(&storms_);
+    runner_.schedule({
+        {{&nets_.requestLane()}, {&nets_.replyLane()}, true},
+        {std::move(helper_endpoints), {&cbs_, &pes_}, false},
+    });
+    if (networkGroupsDisjoint() && endpointLanesDisjoint())
+        runner_.overlap();
 }
 
 System::~System() = default;
@@ -296,11 +325,11 @@ System::buildEndpoints(const WorkloadProfile &profile)
     tileSinks_.assign(static_cast<std::size_t>(num_nodes), nullptr);
 
     SchemeBuild build{cfg_, cbCoords_, cbNodes_, designUsed_};
-    auto make_injector = [&](NodeId node, bool for_reply)
-        -> PacketInjector * {
-        injectors_.push_back(
+    auto make_injector = [&](NodeId node, bool for_reply,
+                             std::size_t lane) -> PacketInjector * {
+        injectors_[lane].push_back(
             model_->makeInjector(build, nets_.all(), node, for_reply));
-        return injectors_.back().get();
+        return injectors_[lane].back().get();
     };
 
     // Traffic model resolution (DESIGN.md §16): empty means the legacy
@@ -343,20 +372,20 @@ System::buildEndpoints(const WorkloadProfile &profile)
     bool open_loop = traffic_->openLoop();
     for (NodeId n = 0; n < num_nodes; ++n) {
         if (is_cb[static_cast<std::size_t>(n)]) {
-            auto *inj = make_injector(n, /*for_reply=*/true);
+            auto *inj = make_injector(n, /*for_reply=*/true, kCallerLane);
             CacheBank &cb = cbs_.add(std::make_unique<CacheBank>(
                 n, cfg_.cb, inj, &cfg_.sizes));
             if (traffic_->wantsCoherence())
                 cb.enableCoherence({cfg_.traffic.cohRegionLines});
             tileSinks_[static_cast<std::size_t>(n)] = &cb;
         } else if (open_loop) {
-            auto *inj = make_injector(n, /*for_reply=*/false);
+            auto *inj = make_injector(n, /*for_reply=*/false, kHelperLane);
             tileSinks_[static_cast<std::size_t>(n)] =
                 &storms_.add(traffic_->makeEndpoint(pe_index, n, inj,
                                                     &amap_, &cfg_.sizes));
             ++pe_index;
         } else {
-            auto *inj = make_injector(n, /*for_reply=*/false);
+            auto *inj = make_injector(n, /*for_reply=*/false, kCallerLane);
             std::unique_ptr<TrafficSource> src =
                 replay_
                     ? std::make_unique<ReplaySource>(
@@ -385,8 +414,7 @@ System::step()
     if (cfg_.cancel && cfg_.cancel->cancelled())
         cancelled_ = true;
     ++cycle_;
-    for (ClockedLayer *layer : layers_)
-        layer->tick(cycle_);
+    runner_.tick(cycle_);
     // Warmup/measurement boundary: discard the cold-start transient.
     if (cfg_.warmupCycles > 0 && cycle_ == cfg_.warmupCycles)
         resetStats();
@@ -414,6 +442,20 @@ System::networkGroupsDisjoint() const
             else if (request.count(s))
                 return false; // one endpoint, two threads
         }
+    }
+    return true;
+}
+
+bool
+System::endpointLanesDisjoint() const
+{
+    for (const auto &net : nets_.all()) {
+        bool reached[2] = {false, false};
+        for (std::size_t lane = 0; lane < injectors_.size(); ++lane)
+            for (const auto &inj : injectors_[lane])
+                reached[lane] = reached[lane] || inj->reaches(*net);
+        if (reached[kHelperLane] && reached[kCallerLane])
+            return false; // one network, two threads
     }
     return true;
 }

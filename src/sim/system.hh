@@ -173,11 +173,22 @@ class System
      */
     bool networkGroupsDisjoint() const;
 
-    /** Does step() tick the request network on a helper thread while
-     *  the caller ticks the reply group? Decided at construction: the
-     *  groups must be disjoint and NetworkGroup::overlap() must allow
-     *  a second thread (DESIGN.md §8). */
-    bool overlapsNetworks() const { return nets_.overlaps(); }
+    /**
+     * Do the two lanes of the endpoint phase inject into disjoint
+     * networks? The helper's lane holds the storm endpoints, the
+     * caller's the CBs and PEs (DESIGN.md §8); false when some network
+     * is reached by an injector of each, as with one network, or with
+     * the CMesh overlay chooser, which reaches both. Trivially true
+     * when one lane injects nowhere, as the helper's does without
+     * storm endpoints.
+     */
+    bool endpointLanesDisjoint() const;
+
+    /** Does step() use a second thread? Decided at construction: the
+     *  network groups and the endpoint lanes must be disjoint, and
+     *  StepRunner::overlap() must allow a second thread (DESIGN.md
+     *  §8). */
+    bool overlapsNetworks() const { return runner_.overlaps(); }
 
   private:
     void buildPlacement();
@@ -199,18 +210,22 @@ class System
     EquiNoxDesign ownedDesign_;       ///< when the flow runs in-system
     const EquiNoxDesign *designUsed_ = nullptr;
 
-    /** The clocked layers (DESIGN.md §8), declared in tick order.
-     *  Members die in reverse, so the network group, whose helper
-     *  thread owns a packet arena, outlives every packet holder. */
+    /** The step's schedule (DESIGN.md §8): the network phase, then
+     *  the endpoint phase. Declared before the layers, so its helper
+     *  thread, whose packet arena the layers' packets may come from,
+     *  outlives them and every other packet holder. */
+    StepRunner runner_;
+    /** The clocked layers, declared in serial tick order. */
     NetworkGroup nets_;
     CacheBankLayer cbs_;
     PeLayer pes_;
     StormLayer storms_;
-    /** What step(), finished(), resetStats() and settleParkedStats()
-     *  walk. */
+    /** What finished(), resetStats() and settleParkedStats() walk. */
     const std::array<ClockedLayer *, 4> layers_{&nets_, &cbs_, &pes_,
                                                 &storms_};
-    std::vector<std::unique_ptr<PacketInjector>> injectors_;
+    /** Every endpoint's injector, by the endpoint-phase lane that
+     *  ticks the endpoint: [0] the helper's, [1] the caller's. */
+    std::array<std::vector<std::unique_ptr<PacketInjector>>, 2> injectors_;
     std::vector<std::unique_ptr<PacketSink>> overlaySinks_;
     std::vector<PacketSink *> tileSinks_; ///< tile id -> endpoint
 

@@ -178,4 +178,19 @@ runMatrixOrSweep(const ExperimentConfig &ec, const SweepOptions &so)
     return std::move(out.cells);
 }
 
+std::size_t
+listFailedCells(const std::vector<CellResult> &cells)
+{
+    std::size_t failed = 0;
+    for (const auto &c : cells) {
+        if (!c.failed)
+            continue;
+        ++failed;
+        std::printf("  FAILED %s/%s after %d attempt(s)%s%s\n",
+                    c.benchmark.c_str(), c.scheme.c_str(), c.attempts,
+                    c.error.empty() ? "" : ": ", c.error.c_str());
+    }
+    return failed;
+}
+
 } // namespace eqx

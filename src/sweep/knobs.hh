@@ -74,6 +74,10 @@ void applyFaultKnobs(FaultConfig &fc, const Config &cfg);
 std::vector<CellResult> runMatrixOrSweep(const ExperimentConfig &ec,
                                          const SweepOptions &so);
 
+/** Print a FAILED line for each failed cell; returns how many failed.
+ *  A CLI that ran cells exits 1 when any did. */
+std::size_t listFailedCells(const std::vector<CellResult> &cells);
+
 } // namespace eqx
 
 #endif // EQX_SWEEP_KNOBS_HH

@@ -177,6 +177,46 @@ TEST(Hbm, ChannelBusSerializesBursts)
     EXPECT_GE(last - first, static_cast<Cycle>(7 * p.timing.tBL));
 }
 
+TEST(Hbm, EnqueueOntoASkippedChannelIssuesWhenItsBankIsReady)
+{
+    // One channel, two banks: lines alternate banks, 128 lines a row.
+    HbmParams p;
+    p.channels = 1;
+    p.banksPerChannel = 2;
+    Harness h(p);
+    const DramTiming &t = p.timing;
+    const Cycle empty = static_cast<Cycle>(t.tRCD + t.tCL + t.tBL);
+    const Cycle hit = static_cast<Cycle>(t.tCL + t.tBL);
+    const Cycle conflict = static_cast<Cycle>(t.tRP) + empty;
+    Cycle clock = 0;
+    h.stack.enqueue({0, true, 0}, clock);   // bank 0, row 0, a write
+    h.stack.enqueue({64, false, 1}, clock); // bank 1, row 0
+    h.run(clock, 5); // issues at 1 and 1 + tBL
+    const Cycle bank0_ready = 1 + empty + static_cast<Cycle>(t.tWR);
+    const Cycle bank1_ready = 1 + static_cast<Cycle>(t.tBL) + empty;
+    ASSERT_LT(bank1_ready, bank0_ready);
+
+    // Bank 0, another row: nothing can issue before bank0_ready, and
+    // the stack skips the channel until then.
+    h.stack.enqueue({256 * 64, false, 2}, clock);
+    h.run(clock, 5);
+    // A row hit on bank 1, enqueued while the channel is skipped: it
+    // must issue the first cycle bank 1 is ready, not bank 0's.
+    h.stack.enqueue({3 * 64, false, 3}, clock);
+    h.run(clock, 200);
+
+    std::vector<std::pair<std::uint64_t, Cycle>> got;
+    for (const auto &[req, at] : h.done)
+        got.push_back({req.tag, at});
+    const std::vector<std::pair<std::uint64_t, Cycle>> want = {
+        {1, bank1_ready},
+        {0, bank0_ready},
+        {3, bank1_ready + hit},
+        {2, bank0_ready + conflict},
+    };
+    EXPECT_EQ(got, want);
+}
+
 TEST(Hbm, ThroughputScalesWithChannels)
 {
     auto run_n = [](int channels) {

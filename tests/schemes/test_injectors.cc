@@ -134,5 +134,41 @@ TEST(Injectors, OverlayCanInjectMatchesTryInject)
     }
 }
 
+/** Which of @p s's networks @p inj reaches, as a 0/1 mask. */
+std::vector<int>
+reached(const SchemeNets &s, const PacketInjector &inj)
+{
+    std::vector<int> out;
+    for (const auto &net : s.nets)
+        out.push_back(inj.reaches(*net) ? 1 : 0);
+    return out;
+}
+
+TEST(Injectors, ReachExactlyTheNetworksTheyInjectInto)
+{
+    // System pairs each endpoint with the thread that ticks the
+    // networks its injector reaches (DESIGN.md §8).
+    SchemeNets split("SeparateBase");
+    NodeId cb = split.cbNodes.front();
+    EXPECT_EQ(reached(split, *split.injector(0, false)),
+              (std::vector<int>{1, 0}));
+    EXPECT_EQ(reached(split, *split.injector(cb, true)),
+              (std::vector<int>{0, 1}));
+
+    SchemeNets da2("DA2Mesh");
+    std::vector<int> subnets(da2.nets.size(), 1);
+    subnets[0] = 0;
+    EXPECT_EQ(reached(da2, *da2.injector(da2.cbNodes.front(), true)),
+              subnets);
+    std::vector<int> request(da2.nets.size(), 0);
+    request[0] = 1;
+    EXPECT_EQ(reached(da2, *da2.injector(0, false)), request);
+
+    // The CMesh overlay chooser may use either network.
+    SchemeNets cmesh("Interposer-CMesh");
+    EXPECT_EQ(reached(cmesh, *cmesh.injector(0, false)),
+              (std::vector<int>{1, 1}));
+}
+
 } // namespace
 } // namespace eqx

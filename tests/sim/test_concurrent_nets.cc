@@ -1,10 +1,11 @@
 /**
  * @file
- * The overlapped network step (DESIGN.md §8): System ticks its request
- * network on a helper thread while the calling thread ticks the reply
- * group. A System built on a worker of a multi-worker JobPool takes
- * the serial step instead, so running the same cell on the main thread
- * and inside a 2-worker pool compares the two paths: the JSONL record
+ * The two-lane step (DESIGN.md §8): System ticks its request network,
+ * then its storm endpoints, on a helper thread while the calling
+ * thread ticks the reply group, then the CBs and PEs. A System built
+ * on a worker of a multi-worker JobPool takes the serial step
+ * instead, so running the same cell on the main thread and inside a
+ * 2-worker pool compares the two paths: the JSONL record
  * (modulo wall_ms, which these cells leave at 0) and the cell digest
  * must be byte-identical for every registered scheme, at 4x4 and 8x8,
  * under synthetic, storm-flash, coherence and fault-armed traffic.
@@ -17,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <fstream>
@@ -29,6 +31,7 @@
 #include "common/logging.hh"
 #include "runner/job_pool.hh"
 #include "sim/experiment.hh"
+#include "sim/layers.hh"
 #include "sweep/digest.hh"
 
 namespace eqx {
@@ -167,15 +170,28 @@ TEST_P(ConcurrentNets, OverlappedStepIsByteIdenticalToSerial)
 TEST_P(ConcurrentNets, GroupsFollowTheWiring)
 {
     const std::string &scheme = GetParam();
-    ExperimentRunner runner(cellConfig(8, Traffic::Synthetic));
-    PreparedCell pc =
-        runner.prepareCell(scheme, runner.config().workloads.front());
-    System sys(pc.sc, pc.wp);
-    // One-network schemes have nothing to overlap; Interposer-CMesh's
-    // overlay exits forward into the mesh's endpoints.
-    EXPECT_EQ(sys.networkGroupsDisjoint(), kOverlapping.count(scheme) > 0);
-    EXPECT_EQ(sys.overlapsNetworks(),
-              sys.networkGroupsDisjoint() && twoCpus());
+    bool split = kOverlapping.count(scheme) > 0;
+    // PEs under synthetic traffic, storm endpoints under storm-flash.
+    for (Traffic t : {Traffic::Synthetic, Traffic::StormFlash}) {
+        ExperimentRunner runner(cellConfig(8, t));
+        PreparedCell pc =
+            runner.prepareCell(scheme, runner.config().workloads.front());
+        System sys(pc.sc, pc.wp);
+        ASSERT_EQ(sys.numPes() == 0, t == Traffic::StormFlash);
+        // One-network schemes have nothing to overlap; Interposer-
+        // CMesh's overlay exits forward into the mesh's endpoints.
+        EXPECT_EQ(sys.networkGroupsDisjoint(), split) << trafficName(t);
+        // Storm endpoints, the helper's endpoint lane, reach only
+        // network(0) and CBs only the rest: one network has no rest,
+        // and the CMesh overlay chooser reaches both. PEs tick on the
+        // caller with the CBs, so without storms the helper's lane
+        // reaches nothing.
+        EXPECT_EQ(sys.endpointLanesDisjoint(),
+                  split || t == Traffic::Synthetic)
+            << trafficName(t);
+        EXPECT_EQ(sys.overlapsNetworks(), split && twoCpus())
+            << trafficName(t);
+    }
 }
 
 std::string
@@ -248,6 +264,61 @@ TEST(ConcurrentNetsFailure, HelperFatalIsRethrownOnTheCaller)
 TEST(ConcurrentNetsFailure, CallerFatalWaitsForTheHelper)
 {
     expectFatalFromNetwork(1);
+}
+
+/** A lane member that runs @p body when ticked. */
+template <typename F>
+class LaneStub final : public Tickable
+{
+  public:
+    explicit LaneStub(F body) : body_(std::move(body)) {}
+    void tick(Cycle) override { body_(); }
+
+  private:
+    F body_;
+};
+
+TEST(ConcurrentNetsFailure, HelperLaneFatalWaitsForTheCallerLane)
+{
+    // The endpoint phase's shape: the caller's lane (the CBs) comes
+    // first in the serial order, the helper's (storm endpoints) last.
+    std::atomic<bool> caller_done{false};
+    LaneStub helper([] { eqx_fatal("helper lane fails"); });
+    LaneStub caller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        caller_done = true;
+    });
+    StepRunner runner;
+    runner.schedule({{{&helper}, {&caller}, false}});
+    runner.overlap();
+    if (!runner.overlaps())
+        GTEST_SKIP() << "one CPU: no helper thread";
+    EXPECT_THROW(runner.tick(1), FatalError);
+    EXPECT_TRUE(caller_done);
+}
+
+TEST(ConcurrentNetsFailure, SeriallyFirstLaneWinsADoubleThrow)
+{
+    LaneStub helper([] { eqx_fatal("helper"); });
+    LaneStub caller([] { eqx_fatal("caller"); });
+    for (bool helper_first : {true, false}) {
+        for (bool two_threads : {false, true}) {
+            StepRunner runner;
+            runner.schedule({{{&helper}, {&caller}, helper_first}});
+            if (two_threads)
+                runner.overlap();
+            if (two_threads && !runner.overlaps())
+                continue; // one CPU
+            std::string what;
+            try {
+                runner.tick(1);
+            } catch (const FatalError &e) {
+                what = e.what();
+            }
+            EXPECT_EQ(what, helper_first ? "fatal: helper" : "fatal: caller")
+                << "two threads: " << two_threads;
+        }
+    }
 }
 
 TEST(ConcurrentNetsPolicy, MultiWorkerPoolsKeepOneThreadPerCell)
